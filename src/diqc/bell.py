@@ -295,19 +295,21 @@ def branch1_operator(theta: float, a: float, b: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # vectorized operator stacks (numerical kernel used by the cutoff solver)
 
-_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
-_XZ = np.kron(SIGMA_X, SIGMA_Z)
-_ZX = np.kron(SIGMA_Z, SIGMA_X)
-_XX = np.kron(SIGMA_X, SIGMA_X)
-_ZI = np.kron(SIGMA_Z, IDENTITY_2)
-_XI = np.kron(SIGMA_X, IDENTITY_2)
-_IZ = np.kron(IDENTITY_2, SIGMA_Z)
+# every Pauli product that occurs is real, so the stacks are float64
+_X, _Z, _I = SIGMA_X.real, SIGMA_Z.real, IDENTITY_2.real
+_ZZ = np.kron(_Z, _Z)
+_XZ = np.kron(_X, _Z)
+_ZX = np.kron(_Z, _X)
+_XX = np.kron(_X, _X)
+_ZI = np.kron(_Z, _I)
+_XI = np.kron(_X, _I)
+_IZ = np.kron(_I, _Z)
 
 
 def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack of Bell operators over the meshgrid of angle arrays.
 
-    Returns an array of shape (len(a), len(b), 4, 4). Decomposes the
+    Returns a real array of shape (len(a), len(b), 4, 4). Decomposes the
     operator over fixed Pauli products with scalar coefficient grids; agrees
     with the single-point constructors to machine precision.
     """

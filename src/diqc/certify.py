@@ -15,14 +15,17 @@ from I* alone:
 
     s = (1 - cos^2 theta) / (1 - I*),    mu = (cos^2 theta - I*) / (1 - I*).
 
-`find_cutoff` locates the smallest I* for which the operator stays PSD on a
-dense angle grid with local refinement, by bisection. Feasibility is
-monotone in I*: raising I* adds a multiple of (identity - B), which is PSD
-because the Bell operators never exceed one. The solver still spot-checks
-that monotonicity at the bracket, as a guard against implementation bugs.
+Since s + mu = 1, the operator is (T - 1) + s (1 - B) with T the twirled
+target, and 1 - B is PSD because the Bell operators never exceed one. It is
+PSD exactly when s is at least the top eigenvalue of the pencil
+(1 - T, 1 - B) on the range of 1 - B, provided 1 - T vanishes on its kernel.
+`find_cutoff` solves that pencil once per angle pair on a dense grid with
+local refinement and sets I* = 1 - sin^2 theta / max s directly; there is
+no search over I*. A final margin scan at I* confirms the certificate.
 
-The certificate is numerical: it reports the grid, the worst margin found
-and the worst angle pair, so callers can re-verify at higher resolution.
+The certificate is numerical: it reports the grid, the worst margin of the
+final scan and the angle pair where the bound binds, so callers can
+re-verify at higher resolution.
 """
 
 from __future__ import annotations
@@ -41,10 +44,17 @@ CHSH_QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 TRIVIAL_INPUT_FIDELITY = 1.0 / math.sqrt(2.0)
 
 DEFAULT_GRID = (201, 201)
-DEFAULT_TOL = 1e-9
 DEFAULT_REFINE_LEVELS = 2
-BRACKET_WIDTH = 1e-4
+VERIFY_TOL = 1e-9
+# names the solver in the CLI cache key; change it whenever a solver change
+# changes the certificates, so cached ones from the old solver are not served
+SOLVER_TAG = "pencil1"
 _REFINE_POINTS = 17
+# grid rows of a per batched eigensolve: bounds the temporary stacks
+_ROW_BLOCK = 16
+# eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
+# genuine ones near the ideal point reach down to about 1e-13
+_KERNEL_RTOL = 1e-15
 
 
 class NonQuantumValueError(ValueError):
@@ -155,7 +165,9 @@ class LinearBoundCertificate:
     """Accepted linear overlap bound for one inequality and angle.
 
     Records the full verification metadata: grid resolution, refinement
-    depth, tolerance, the worst margin encountered and where, and which
+    depth, the verification tolerance, the worst margin of the final scan,
+    the binding angle pair (where the bound is tight, so I* cannot be
+    lowered; reported as ``worst_a``, ``worst_b``), and which
     reparametrization of Bob's extraction channel was in force.
     """
 
@@ -185,11 +197,11 @@ def _kind(theta: float, family: str) -> BellKind:
 
 
 class _MarginEvaluator:
-    """Margins of the operator inequality over angle grids, vectorized.
+    """Margins and pencil slopes of the operator inequality, vectorized.
 
-    Precomputes everything that does not depend on I*: the channel-twirled
-    projector stack and the Bell operator stack. A feasibility probe at a
-    new I* then costs one batched 4x4 eigensolve.
+    Precomputes everything that does not depend on the angles: the target
+    projector and its conjugations by the dephasing axes. Every operator
+    involved is real, so the stacks are float64.
     """
 
     def __init__(self, theta: float, family: str, branch: int = 0,
@@ -201,17 +213,17 @@ class _MarginEvaluator:
         self.b_ideal = self.warp.b_ideal
         self.c2 = math.cos(theta) ** 2
         state = quantum.partial_entangled_state(theta, branch, theta_min=0.0)
-        self._proj = quantum.projector(state)
-        gam = (quantum.H_OBS, quantum.V_OBS)
-        ome = (quantum.SIGMA_X, quantum.SIGMA_Z)
-        e2 = quantum.IDENTITY_2
+        self._proj = quantum.projector(state).real
+        gam = (quantum.H_OBS.real, quantum.V_OBS.real)
+        ome = (quantum.SIGMA_X.real, quantum.SIGMA_Z.real)
+        e2 = np.eye(2)
         self._conj_a = np.array(
             [np.kron(g, e2) @ self._proj @ np.kron(g, e2) for g in gam])
         self._conj_b = np.array(
             [np.kron(e2, o) @ self._proj @ np.kron(e2, o) for o in ome])
         self._conj_ab = np.array(
             [[np.kron(g, o) @ self._proj @ np.kron(g, o) for o in ome] for g in gam])
-        self._rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI)
+        self._rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
 
     def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channel-twirled projector stack and Bell stack on the meshgrid."""
@@ -235,15 +247,37 @@ class _MarginEvaluator:
         else:
             # primed test: rotate the operator stack taken at pi/2 - a
             base = bell.bell_operator_grid(self.kind, np.pi / 2 - a, b)
-            bops = np.einsum("ij,abjk,lk->abil", self._rr, base, self._rr.conj())
+            bops = np.einsum("ij,abjk,lk->abil", self._rr, base, self._rr)
         return twirled, bops
 
-    def margins(self, i_star: float, a: np.ndarray, b: np.ndarray,
-                stacks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def margins(self, i_star: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of the bound operator at cutoff ``i_star``."""
         s, mu = slope_and_intercept(self.theta, i_star)
-        twirled, bops = stacks if stacks is not None else self.stacks(a, b)
+        twirled, bops = self.stacks(a, b)
         m = twirled - s * bops - mu * np.eye(4)
         return np.linalg.eigvalsh(m)[..., 0]
+
+    def slopes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Smallest slope s whose bound operator is PSD, per angle pair.
+
+        That is the top eigenvalue of the pencil (Q, P) = (1 - T, 1 - B) on
+        the range of P, after whitening Q there. Eigenvalues of P at
+        roundoff level relative to its norm count as its kernel, where Q
+        must vanish; any other kernel direction is a ChannelFamilyError.
+        """
+        twirled, bops = self.stacks(a, b)
+        w, v = np.linalg.eigh(np.eye(4) - bops)
+        g = v.swapaxes(-1, -2) @ (np.eye(4) - twirled) @ v
+        kernel = w <= _KERNEL_RTOL * w[..., -1:]
+        leak = kernel & (np.diagonal(g, axis1=-2, axis2=-1) > VERIFY_TOL)
+        if leak.any():
+            i, j, _ = np.argwhere(leak)[0]
+            raise ChannelFamilyError(
+                f"1 - T does not vanish on the kernel of 1 - B at "
+                f"(a={a[i]:.6f}, b={b[j]:.6f}); the extraction-channel family "
+                f"cannot certify {self.kind.family} at theta={self.theta}")
+        r = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, w)))
+        return np.linalg.eigvalsh(r[..., :, None] * g * r[..., None, :])[..., -1]
 
 
 def operator_margin(theta: float, kind: str | BellKind, i_star: float,
@@ -258,101 +292,106 @@ def operator_margin(theta: float, kind: str | BellKind, i_star: float,
     return float(ev.margins(i_star, np.array([a]), np.array([b]))[0, 0])
 
 
-def _scan(ev: _MarginEvaluator, i_star: float, n_a: int, n_b: int,
-          refine_levels: int,
-          coarse: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float, float]:
-    """Worst margin over the full grid plus local refinement passes.
+Patch = tuple[np.ndarray, np.ndarray]
 
-    Refines around the running worst cell and around the ideal point, one
-    coarse cell wide, shrinking eightfold per level. ``coarse`` carries
-    precomputed full-grid stacks so bisection probes skip rebuilding them.
+
+def _grid(n: int) -> np.ndarray:
+    return np.linspace(0.0, np.pi / 2, n)
+
+
+def _peak(f, a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """Largest value of f over the meshgrid of a and b, and where it is.
+
+    Evaluates ``_ROW_BLOCK`` values of a at a time, which bounds the size
+    of the temporary operator stacks.
     """
-    a = np.linspace(0.0, np.pi / 2, n_a)
-    b = np.linspace(0.0, np.pi / 2, n_b)
-    m = ev.margins(i_star, a, b, stacks=coarse)
-    idx = np.unravel_index(np.argmin(m), m.shape)
-    worst = float(m[idx])
-    worst_at = (float(a[idx[0]]), float(b[idx[1]]))
+    vals = np.concatenate([f(a[i:i + _ROW_BLOCK], b)
+                           for i in range(0, len(a), _ROW_BLOCK)])
+    idx = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(vals[idx]), (float(a[idx[0]]), float(b[idx[1]]))
+
+
+def _search(f, n_a: int, n_b: int, refine_levels: int,
+            b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
+    """Largest value of f over the full grid plus local refinement patches.
+
+    Refines around the running best cell and around the ideal point, one
+    coarse cell wide, shrinking eightfold per level. Returns the patches
+    too, so a later scan can revisit the same points.
+    """
+    best, best_at = _peak(f, _grid(n_a), _grid(n_b))
     h_a = (np.pi / 2) / (n_a - 1)
     h_b = (np.pi / 2) / (n_b - 1)
-    centers = [worst_at, (np.pi / 4, ev.b_ideal)]
+    centers = [best_at, (np.pi / 4, b_ideal)]
+    patches = []
     for _ in range(refine_levels):
         next_centers = []
         for ca, cb in centers:
             fa = np.clip(np.linspace(ca - h_a, ca + h_a, _REFINE_POINTS), 0.0, np.pi / 2)
             fb = np.clip(np.linspace(cb - h_b, cb + h_b, _REFINE_POINTS), 0.0, np.pi / 2)
-            fm = ev.margins(i_star, fa, fb)
-            fidx = np.unravel_index(np.argmin(fm), fm.shape)
-            if float(fm[fidx]) < worst:
-                worst = float(fm[fidx])
-                worst_at = (float(fa[fidx[0]]), float(fb[fidx[1]]))
-            next_centers.append((float(fa[fidx[0]]), float(fb[fidx[1]])))
+            patches.append((fa, fb))
+            value, at = _peak(f, fa, fb)
+            if value > best:
+                best, best_at = value, at
+            next_centers.append(at)
         centers = next_centers
         h_a /= _REFINE_POINTS / 2.0
         h_b /= _REFINE_POINTS / 2.0
-    return worst, worst_at[0], worst_at[1]
+    return best, best_at, patches
+
+
+def _rescan(f, n_a: int, n_b: int,
+            patches: list[Patch]) -> tuple[float, tuple[float, float]]:
+    """Largest value of f over the full grid and the given patches."""
+    return max((_peak(f, a, b) for a, b in [(_grid(n_a), _grid(n_b)), *patches]),
+               key=lambda peak: peak[0])
 
 
 def find_cutoff(theta: float, kind: str | BellKind = "new",
-                grid: tuple[int, int] = DEFAULT_GRID, tol: float = DEFAULT_TOL,
+                grid: tuple[int, int] = DEFAULT_GRID,
                 refine_levels: int = DEFAULT_REFINE_LEVELS,
                 warp_variant: str = quantum.WARP_AUTO) -> LinearBoundCertificate:
-    """Smallest cutoff I* whose operator inequality verifies on the grid.
+    """Smallest cutoff I* whose operator inequality holds on the grid.
 
-    Bisects I* to width 1e-4 between the local bound and one, probing PSD
-    feasibility on an ``n_a x n_b`` grid (at least 101 per axis) with
-    ``refine_levels`` local refinement passes. Raises ChannelFamilyError if
-    even I* ~ 1 is infeasible, which indicates a broken channel family.
+    The bound operator is (T - 1) + s (1 - B), PSD exactly where s is at
+    least the top eigenvalue s_min(a, b) of the pencil (1 - T, 1 - B). One
+    eigensolve per angle pair on an ``n_a x n_b`` grid (at least 101 per
+    axis), with ``refine_levels`` refinement passes around the maximum of
+    s_min and around the ideal point, gives the largest s_min, and then
+    I* = 1 - sin^2 theta / max s_min, rounded up to the first float whose
+    slope covers that maximum. A final margin scan at I* over the grid and
+    the same patches must find no margin below -VERIFY_TOL. Raises
+    ChannelFamilyError if 1 - T fails to vanish on the kernel of 1 - B or
+    the final scan fails, which indicates a broken channel family.
     """
     family = kind.family if isinstance(kind, BellKind) else kind
-    bk = _kind(theta, family)
     n_a, n_b = grid
     if n_a < 101 or n_b < 101:
         raise ValueError(f"grid {grid} too coarse: need at least 101 points per axis")
+    if refine_levels < 0:
+        raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
     ev = _MarginEvaluator(theta, family, warp_variant=warp_variant)
-    lo = bell.local_bound(bk) + 1e-6
-    hi = 1.0 - 1e-6
-    coarse = ev.stacks(np.linspace(0.0, np.pi / 2, n_a), np.linspace(0.0, np.pi / 2, n_b))
-
-    def probe(i: float) -> tuple[bool, float, float, float]:
-        worst, wa, wb = _scan(ev, i, n_a, n_b, refine_levels, coarse=coarse)
-        return worst >= -tol, worst, wa, wb
-
-    probe_hi = probe(hi)
-    if not probe_hi[0]:
-        _, m_hi, wa_hi, wb_hi = probe_hi
+    s_max, (bind_a, bind_b), patches = _search(ev.slopes, n_a, n_b, refine_levels,
+                                               ev.b_ideal)
+    # 1 - I* carries a relative roundoff of up to 1e-9 at theta = 0.05, so
+    # step up until the slope recomputed from I* covers s_max
+    i_star = 1.0 - (1.0 - ev.c2) / s_max
+    while i_star < 1.0 and slope_and_intercept(theta, i_star)[0] < s_max:
+        i_star = math.nextafter(i_star, 1.0)
+    if not i_star < 1.0:
         raise ChannelFamilyError(
-            f"infeasible even at i_star={hi}: margin {m_hi:.3e} at "
-            f"(a={wa_hi:.6f}, b={wb_hi:.6f}); the extraction-channel family "
-            f"cannot certify theta={theta}")
-    probe_lo = probe(lo)
-    mid0 = 0.5 * (lo + hi)
-    probe_mid = probe(mid0)
-    # monotonicity spot-check: feasibility may only switch from False to True
-    flags = [probe_lo[0], probe_mid[0], probe_hi[0]]
-    if sorted(flags) != flags:
-        raise RuntimeError(f"feasibility not monotone across bracket: {flags}")
-    if probe_lo[0]:
-        hi, accepted = lo, probe_lo
-    else:
-        # invariant: lo infeasible, hi feasible, accepted = probe at hi
-        if probe_mid[0]:
-            hi, accepted = mid0, probe_mid
-        else:
-            lo, accepted = mid0, probe_hi
-        while hi - lo > BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            result = probe(mid)
-            if result[0]:
-                hi, accepted = mid, result
-            else:
-                lo = mid
-    _, worst, wa, wb = accepted
-    s, mu = slope_and_intercept(theta, hi)
+            f"slope {s_max:.6g} at (a={bind_a:.6f}, b={bind_b:.6f}) leaves no "
+            f"cutoff below one for {family} at theta={theta}")
+    neg, (wa, wb) = _rescan(lambda a, b: -ev.margins(i_star, a, b), n_a, n_b, patches)
+    if -neg < -VERIFY_TOL:
+        raise ChannelFamilyError(
+            f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
+            f"(a={wa:.6f}, b={wb:.6f}) for {family} at theta={theta}")
+    s, mu = slope_and_intercept(theta, i_star)
     return LinearBoundCertificate(
-        theta=float(theta), family=family, i_star=float(hi), slope=s, intercept=mu,
-        grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=tol,
-        worst_margin=worst, worst_a=wa, worst_b=wb,
+        theta=float(theta), family=family, i_star=i_star, slope=s, intercept=mu,
+        grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=VERIFY_TOL,
+        worst_margin=-neg, worst_a=bind_a, worst_b=bind_b,
         delta_variant=ev.warp.variant)
 
 
@@ -371,11 +410,12 @@ def verify_branch1(cert: LinearBoundCertificate,
     n_a, n_b = grid if grid is not None else (cert.grid_a, cert.grid_b)
     ev = _MarginEvaluator(cert.theta, cert.family, branch=1,
                           warp_variant=cert.delta_variant)
-    worst, _, _ = _scan(ev, cert.i_star, n_a, n_b, cert.refine_levels)
-    if worst < -10.0 * cert.tol:
+    neg, _, _ = _search(lambda a, b: -ev.margins(cert.i_star, a, b), n_a, n_b,
+                        cert.refine_levels, ev.b_ideal)
+    if -neg < -10.0 * cert.tol:
         raise SymmetryViolationError(
-            f"branch-1 margin {worst:.3e} violates the mirror symmetry")
-    return worst
+            f"branch-1 margin {-neg:.3e} violates the mirror symmetry")
+    return -neg
 
 
 # ---------------------------------------------------------------------------

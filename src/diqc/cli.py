@@ -15,13 +15,16 @@ re-parses to the exact same value. Exit codes: 0 success, 1 usage error,
 
 Cutoff certificates are cached under ``--cache-dir`` (or the
 ``DIQC_CACHE_DIR`` environment variable, default ``~/.cache/diqc``), keyed
-by angle, inequality, grid, tolerance and channel variant, so sweeps do not
-re-run the solver.
+by angle, inequality, grid, refinement depth, channel variant and solver
+tag, so sweeps do not re-run the solver and a certificate written by another
+solver is never served. An entry that cannot be parsed is solved again and
+rewritten; entries are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -29,6 +32,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +75,20 @@ def _positive_grid(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get("DIQC_CACHE_DIR")
     if env:
@@ -105,26 +123,47 @@ def cutoff_from_row(row: dict) -> certify.LinearBoundCertificate:
 
 
 def _cache_path(cache_dir: Path, theta: float, family: str, grid: tuple[int, int],
-                tol: float, refine: int, warp: str) -> Path:
-    key = f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|t{tol:.17g}|{warp}"
+                refine: int, warp: str) -> Path:
+    key = (f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{warp}"
+           f"|{certify.SOLVER_TAG}")
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cutoff-{family}-{digest}.json"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` so readers see the old or the new file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
-                         tol: float, refine: int, cache_dir: Path | None,
+                         refine: int, cache_dir: Path | None,
                          warp: str = quantum.WARP_AUTO) -> certify.LinearBoundCertificate:
-    """Fetch a cached cutoff certificate or run the solver and cache it."""
+    """Fetch a cached cutoff certificate or run the solver and cache it.
+
+    A cache entry that is truncated or does not parse as a certificate is
+    solved again and overwritten.
+    """
     path = None
     if cache_dir is not None:
-        path = _cache_path(cache_dir, theta, family, grid, tol, refine, warp)
+        path = _cache_path(cache_dir, theta, family, grid, refine, warp)
         if path.exists():
-            return cutoff_from_row(json.loads(path.read_text()))
-    cert = certify.find_cutoff(theta, family, grid=grid, tol=tol,
-                               refine_levels=refine, warp_variant=warp)
+            try:
+                return cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
+            except (ValueError, KeyError, TypeError):
+                pass
+    cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine,
+                               warp_variant=warp)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(cutoff_to_row(cert)))
+        _write_atomic(path, json.dumps(cutoff_to_row(cert)))
     return cert
 
 
@@ -176,9 +215,9 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inequality", choices=("new", "tilted"), default="new")
     p.add_argument("--grid-n", type=_positive_grid, default=201,
                    help="angle grid points per axis (minimum 101)")
-    p.add_argument("--tol", type=float, default=certify.DEFAULT_TOL)
-    p.add_argument("--refine", type=int, default=certify.DEFAULT_REFINE_LEVELS,
-                   help="local refinement passes")
+    p.add_argument("--refine", type=_nonnegative_int,
+                   default=certify.DEFAULT_REFINE_LEVELS,
+                   help="local refinement passes (at least 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-fig4", help="cutoff versus instrument angle, both tests")
     p.add_argument("--theta-min", type=float, default=bell.THETA_LO)
     p.add_argument("--theta-max", type=float, default=float(np.pi / 4))
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_positive_int, default=25)
     _add_solver_args(p)
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig5", help="certified fidelity surface over violations")
     p.add_argument("--theta", type=float, default=FIG5_THETA)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--points", type=_positive_int, default=50)
     _add_solver_args(p)
     _add_io_args(p)
 
@@ -234,7 +273,7 @@ def _cache_dir_of(args) -> Path | None:
 
 def _solve(args, theta: float, family: str) -> certify.LinearBoundCertificate:
     return load_or_solve_cutoff(theta, family, (args.grid_n, args.grid_n),
-                                args.tol, args.refine, _cache_dir_of(args))
+                                args.refine, _cache_dir_of(args))
 
 
 def cmd_cutoff(args) -> int:

@@ -352,31 +352,8 @@ def dephasing_alice(a: float) -> DephasingChannel:
 # Bob's channel reuses the same profile through a reparametrization of his
 # half-angle that moves the profile peak from pi/4 to the ideal angle.
 
-LOG_WARP_REFERENCE = "log-reference"
-LOG_WARP_SOLVED = "log-solved"
 LINEAR_WARP = "linear"
 WARP_AUTO = "auto"
-
-
-def resolve_log_delta(b_ideal: float) -> tuple[float, str]:
-    """Offset of the logarithmic reparametrization, with a sanity gate.
-
-    The reference formula b^2/(pi^2 - 2 b) is checked against the peak
-    condition t(b_ideal) = pi/4; it fails for every angle in range, so the
-    solved offset 2 b^2/pi (which satisfies the condition exactly) is used
-    instead. The returned tag records which offset was picked.
-    """
-    gamma = _log_warp_rate(b_ideal)
-    ref = b_ideal * b_ideal / (np.pi * np.pi - 2.0 * b_ideal)
-    if 0.0 < ref < b_ideal:
-        t_peak = np.log((b_ideal - ref) / ref) / gamma
-        if abs(t_peak - np.pi / 4) <= 1e-9:
-            return float(ref), LOG_WARP_REFERENCE
-    return float(2.0 * b_ideal * b_ideal / np.pi), LOG_WARP_SOLVED
-
-
-def _log_warp_rate(b_ideal: float) -> float:
-    return (4.0 / np.pi) * np.log((np.pi / 2 - b_ideal) / b_ideal)
 
 
 @dataclass(frozen=True)
@@ -389,25 +366,15 @@ class AngleWarp:
 
     variant: str
     b_ideal: float
-    delta: float | None = None
-    gamma: float | None = None
 
     def __call__(self, b: np.ndarray | float) -> np.ndarray:
         shape = np.shape(b)
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.variant == "identity":
             return b.reshape(shape)
-        if self.variant == LINEAR_WARP:
-            lo = (np.pi / 4) * b / self.b_ideal
-            hi = np.pi / 4 + (np.pi / 4) * (b - self.b_ideal) / (np.pi / 2 - self.b_ideal)
-            return np.where(b <= self.b_ideal, lo, hi).reshape(shape)
-        # logarithmic: undefined at and below delta, where the channel is
-        # fully dephasing; encode that side as t = pi/2 (also weight zero).
-        out = np.full_like(b, np.pi / 2)
-        ok = b > self.delta
-        with np.errstate(divide="ignore"):
-            out[ok] = np.log((b[ok] - self.delta) / self.delta) / self.gamma
-        return out.reshape(shape)
+        lo = (np.pi / 4) * b / self.b_ideal
+        hi = np.pi / 4 + (np.pi / 4) * (b - self.b_ideal) / (np.pi / 2 - self.b_ideal)
+        return np.where(b <= self.b_ideal, lo, hi).reshape(shape)
 
 
 def bob_warp(theta: float, kind: str = "new", variant: str = WARP_AUTO) -> AngleWarp:
@@ -416,25 +383,13 @@ def bob_warp(theta: float, kind: str = "new", variant: str = WARP_AUTO) -> Angle
     ``auto`` selects the piecewise-linear warp: it maps [0, b_ideal] onto
     [0, pi/4] and [b_ideal, pi/2] onto [pi/4, pi/2], reduces to the identity
     exactly when b_ideal = pi/4 (theta = pi/4, the CHSH case) and keeps a
-    usable identity window for every theta. The logarithmic variants are
-    retained for diagnostics; their identity window collapses as
-    b_ideal -> pi/4, which makes the cutoff search infeasible near
-    theta = pi/4.
+    usable identity window for every theta.
     """
     b_ideal = bob_ideal_angle(theta, kind)
     if variant == WARP_AUTO or variant == LINEAR_WARP:
         if abs(b_ideal - np.pi / 4) < 1e-12:
             return AngleWarp("identity", b_ideal)
         return AngleWarp(LINEAR_WARP, b_ideal)
-    if variant in (LOG_WARP_REFERENCE, LOG_WARP_SOLVED, "log"):
-        gamma = _log_warp_rate(b_ideal)
-        if abs(gamma) < 1e-12:
-            return AngleWarp("identity", b_ideal)
-        delta, tag = resolve_log_delta(b_ideal)
-        if variant == LOG_WARP_REFERENCE:
-            delta = b_ideal * b_ideal / (np.pi * np.pi - 2.0 * b_ideal)
-            tag = LOG_WARP_REFERENCE
-        return AngleWarp(tag, b_ideal, delta=delta, gamma=gamma)
     if variant == "identity":
         return AngleWarp("identity", b_ideal)
     raise DomainError(f"unknown warp variant {variant!r}")

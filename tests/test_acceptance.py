@@ -56,10 +56,11 @@ def test_criterion_02_quantum_bound():
 def test_criterion_03_chsh_anchor(cutoffs):
     cert = cutoffs.get(QUARTER_PI, "new")
     elapsed = cutoffs.elapsed(QUARTER_PI, "new")
-    assert abs(cert.i_star - ANCHOR) <= 0.01
+    assert abs(cert.i_star - ANCHOR) <= 1e-9
+    assert abs(cutoffs.get(QUARTER_PI, "tilted").i_star - ANCHOR) <= 1e-9
     assert elapsed < 300.0
-    _report(3, f"cutoff at theta=pi/4 is {cert.i_star:.6f} "
-               f"(anchor {ANCHOR:.6f}), {elapsed:.1f}s at 201x201")
+    _report(3, f"cutoff at theta=pi/4 is {cert.i_star:.12f} "
+               f"(anchor {ANCHOR:.12f}), {elapsed:.1f}s at 201x201")
 
 
 def test_criterion_04_cutoff_ordering(cutoffs):
@@ -129,8 +130,7 @@ def test_criterion_08_fig5_surface(cutoffs, tmp_path, capsys):
     cert = cutoffs.get(FIG5_THETA, "new")
     cache = tmp_path / "cache"
     path = cli._cache_path(cache, FIG5_THETA, "new", (201, 201),
-                           certify.DEFAULT_TOL, certify.DEFAULT_REFINE_LEVELS,
-                           quantum.WARP_AUTO)
+                           certify.DEFAULT_REFINE_LEVELS, quantum.WARP_AUTO)
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps(cli.cutoff_to_row(cert)))
     out_file = tmp_path / "fig5.csv"

@@ -183,12 +183,44 @@ def test_find_cutoff_rejects_unknown_family():
         find_cutoff(0.6, "chsh")
 
 
-def test_log_family_infeasible_near_quarter_pi():
-    # the logarithmic reparametrization loses its identity window as the
-    # ideal angle approaches pi/4 and can no longer certify anything
-    with pytest.raises(ChannelFamilyError):
-        find_cutoff(np.pi / 4 - 0.01, "new", grid=(101, 101),
-                    warp_variant="log-solved")
+def test_find_cutoff_rejects_negative_refinement():
+    with pytest.raises(ValueError, match="refine_levels"):
+        find_cutoff(0.6, "new", grid=(101, 101), refine_levels=-3)
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+def test_find_cutoff_solves_smallest_angle(family):
+    # 1 - I* is about 1e-7 here, below the 1e-6 a bracketed search can reach
+    cert = find_cutoff(0.05, family)
+    assert 0.0 < 1.0 - cert.i_star < 1e-6
+    assert cert.worst_margin >= -cert.tol
+
+
+def test_find_cutoff_resolves_small_gap():
+    # the exact gap is about 1.2e-5; a bracket of width 1e-4 returns 1e-6
+    cert = find_cutoff(0.1113, "new")
+    assert 1.0 - cert.i_star > 1e-5
+
+
+def test_find_cutoff_reports_binding_corner():
+    cert = find_cutoff(0.6, "new")
+    assert (cert.worst_a, cert.worst_b) == (0.0, pytest.approx(np.pi / 2, abs=1e-15))
+
+
+@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted"), (0.1, "new")])
+def test_cutoff_cannot_be_lowered(theta, family):
+    cert = find_cutoff(theta, family)
+    lower = cert.i_star - 1e-6 * (1.0 - cert.i_star)
+    assert operator_margin(theta, family, cert.i_star, cert.worst_a, cert.worst_b) >= -cert.tol
+    assert operator_margin(theta, family, lower, cert.worst_a, cert.worst_b) < 0.0
+
+
+def test_kernel_leak_names_its_input(monkeypatch):
+    # counting genuine eigenvalues of 1 - B as kernel must be caught, not
+    # silently dropped from the slope
+    monkeypatch.setattr(certify, "_KERNEL_RTOL", 0.5)
+    with pytest.raises(ChannelFamilyError, match=r"\(a=.*b=.*tilted at theta=0\.6"):
+        find_cutoff(0.6, "tilted", grid=(101, 101))
 
 
 def test_verify_branch1_passes(small_cert):

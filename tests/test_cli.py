@@ -1,11 +1,15 @@
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diqc import cli
+from diqc import certify, cli
 
 QUARTER_PI = "0.78539816339744828"
+ANCHOR = (8 + 7 * np.sqrt(2)) / (17 * np.sqrt(2))
 
 
 @pytest.fixture()
@@ -160,3 +164,89 @@ def test_output_file(cache_dir, tmp_path, capsys):
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run([], capsys)
     assert code == 1
+
+
+def test_tol_flag_is_gone(cache_dir, capsys):
+    # a loose tolerance once produced an unsound certificate
+    code, _, err = run(["cutoff", "--theta", "0.6", "--tol", "1e6",
+                        "--cache-dir", str(cache_dir)], capsys)
+    assert code == 1
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["cutoff", "--theta", "0.6", "--refine", "-3"],
+    ["sweep-fig4", "--points", "0"],
+    ["sweep-fig5", "--points", "0"],
+])
+def test_bad_counts_are_usage_errors(args, cache_dir, capsys):
+    code, out, _ = run(args + ["--cache-dir", str(cache_dir)], capsys)
+    assert code == 1
+    assert out == ""
+
+
+def test_sweep_fig4_defaults_cover_smallest_angle(capsys):
+    code, out, _ = run(["sweep-fig4", "--points", "2", "--no-cache"], capsys)
+    assert code == 0
+    rows = cli.parse_rows(out)
+    assert len(rows) == 4
+    assert {r["theta"] for r in rows} == {0.05, np.pi / 4}
+
+
+def _cached_file(cache_dir):
+    (path,) = cache_dir.glob("cutoff-*.json")
+    return path
+
+
+def test_corrupt_cache_entry_is_solved_again(cache_dir, capsys):
+    code, first, _ = run(cutoff_args(cache_dir), capsys)
+    assert code == 0
+    path = _cached_file(cache_dir)
+    path.write_text(path.read_text()[:40])
+    code, second, _ = run(cutoff_args(cache_dir), capsys)
+    assert code == 0
+    assert second == first
+    assert cli.cutoff_from_row(json.loads(path.read_text())).i_star == \
+        cli.parse_rows(first)[0]["i_star"]
+
+
+def test_cache_entry_of_old_solver_is_not_read(cache_dir, capsys):
+    # key format of the bisection solver, which recorded its tolerance
+    theta = float(QUARTER_PI)
+    key = f"new|{theta:.17g}|101x101|r2|t{1e-9:.17g}|auto"
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    stale = cache_dir / f"cutoff-new-{digest}.json"
+    cache_dir.mkdir()
+    row = cli.cutoff_to_row(certify.LinearBoundCertificate(
+        theta=theta, family="new", i_star=0.7445773, slope=1.0, intercept=0.0,
+        grid_a=101, grid_b=101, refine_levels=2, tol=1e-9, worst_margin=0.0,
+        worst_a=np.pi / 4, worst_b=np.pi / 4, delta_variant="identity"))
+    stale.write_text(json.dumps(row))
+    code, out, _ = run(cutoff_args(cache_dir), capsys)
+    assert code == 0
+    assert abs(cli.parse_rows(out)[0]["i_star"] - ANCHOR) < 1e-9
+    assert cli._cache_path(cache_dir, theta, "new", (101, 101), 2, "auto") != stale
+
+
+def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        # the entry appears only once it is complete
+        replaced.append(json.loads(Path(src).read_text()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", spy)
+    code, _, _ = run(cutoff_args(cache_dir), capsys)
+    assert code == 0
+    assert len(replaced) == 1
+    assert [p.name for p in cache_dir.iterdir()] == [_cached_file(cache_dir).name]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli._write_atomic(cache_dir / "other.json", "{}")
+    assert [p.name for p in cache_dir.iterdir()] == [_cached_file(cache_dir).name]

@@ -272,18 +272,6 @@ def test_channels_preserve_trace_and_positivity():
 # ---- the angle reparametrization ----
 
 
-def test_log_delta_gate_picks_solved_offset():
-    # the reference offset never satisfies the peak condition, the solved one does
-    for theta in (0.2, 0.45, 0.6):
-        b_ideal = bob_ideal_angle(theta, "new")
-        delta, tag = quantum.resolve_log_delta(b_ideal)
-        assert tag == quantum.LOG_WARP_SOLVED
-        assert abs(delta - 2 * b_ideal ** 2 / np.pi) < 1e-15
-        gamma = (4 / np.pi) * np.log((np.pi / 2 - b_ideal) / b_ideal)
-        t_peak = np.log((b_ideal - delta) / delta) / gamma
-        assert abs(t_peak - np.pi / 4) < 1e-12
-
-
 def test_linear_warp_fixes_endpoints_and_peak():
     for theta in (0.1, 0.45, 0.6):
         warp = quantum.bob_warp(theta, "new")
