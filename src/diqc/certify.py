@@ -17,11 +17,29 @@ from I* alone:
 
 Since s + mu = 1, the operator is (T - 1) + s (1 - B) with T the twirled
 target, and 1 - B is PSD because the Bell operators never exceed one. It is
-PSD exactly when s is at least the top eigenvalue of the pencil
+PSD exactly when s is at least the top eigenvalue s_min(a, b) of the pencil
 (1 - T, 1 - B) on the range of 1 - B, provided 1 - T vanishes on its kernel.
-`find_cutoff` solves that pencil once per angle pair on a dense grid with
-local refinement and sets I* = 1 - sin^2 theta / max s directly; there is
-no search over I*. A final margin scan at I* confirms the certificate.
+`find_cutoff` needs max s_min over a dense grid with local refinement and
+sets I* = 1 - sin^2 theta / max s_min directly; there is no search over I*.
+
+Only a handful of grid points can bind, so the pencil is not solved
+everywhere. Exact slopes on a coarse subgrid give a guess s0 <= max s_min;
+one pass over the full grid then screens out every point whose operator
+(T - 1) + s0 (1 - B) - delta is positive definite, tested by an unpivoted
+LDL^T factorization of the 4x4 stacks. This is sound for three reasons:
+
+* the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
+  1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
+  clears it at the final slope, which is at least s0;
+* when LDL^T completes with positive pivots, the factors are exact for a
+  perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
+  of Numerical Algorithms, Thm 10.3), far below delta = 1e-12 (1 + s0);
+* every remaining point, which includes every point with s_min >= s0 and
+  every point where 1 - T leaks into the kernel of 1 - B, is solved exactly.
+
+The certificate is therefore the one a full-grid solve gives, whatever the
+guess; a poor guess only costs time. A final margin scan at I* over the
+solved points and the refinement patches confirms it.
 
 The certificate is numerical: it reports the grid, the worst margin of the
 final scan and the angle pair where the bound binds, so callers can
@@ -50,8 +68,14 @@ VERIFY_TOL = 1e-9
 # changes the certificates, so cached ones from the old solver are not served
 SOLVER_TAG = "pencil1"
 _REFINE_POINTS = 17
-# grid rows of a per batched eigensolve: bounds the temporary stacks
+# grid rows per batched eigensolve or screen: bounds the temporary stacks
 _ROW_BLOCK = 16
+# every _COARSE_STRIDE-th grid index, and the last, gives the screen's guess
+_COARSE_STRIDE = 8
+# the screen clears a point when its operator exceeds delta = this * (1 + s0),
+# far above the LDL^T backward error of about 5e-15 * (1 + s0): the screened
+# operator has norm at most 2 (1 + s0), since ||1 - T|| <= 1 and ||1 - B|| <= 2
+_SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
 _KERNEL_RTOL = 1e-15
@@ -293,6 +317,7 @@ def operator_margin(theta: float, kind: str | BellKind, i_star: float,
 
 
 Patch = tuple[np.ndarray, np.ndarray]
+Peak = tuple[float, tuple[float, float]]
 
 
 def _grid(n: int) -> np.ndarray:
@@ -311,15 +336,15 @@ def _peak(f, a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[float, float]]:
     return float(vals[idx]), (float(a[idx[0]]), float(b[idx[1]]))
 
 
-def _search(f, n_a: int, n_b: int, refine_levels: int,
+def _refine(f, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
+            refine_levels: int,
             b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
-    """Largest value of f over the full grid plus local refinement patches.
+    """Raise the grid maximum ``best`` of f by local refinement patches.
 
     Refines around the running best cell and around the ideal point, one
     coarse cell wide, shrinking eightfold per level. Returns the patches
     too, so a later scan can revisit the same points.
     """
-    best, best_at = _peak(f, _grid(n_a), _grid(n_b))
     h_a = (np.pi / 2) / (n_a - 1)
     h_b = (np.pi / 2) / (n_b - 1)
     centers = [best_at, (np.pi / 4, b_ideal)]
@@ -340,11 +365,104 @@ def _search(f, n_a: int, n_b: int, refine_levels: int,
     return best, best_at, patches
 
 
-def _rescan(f, n_a: int, n_b: int,
-            patches: list[Patch]) -> tuple[float, tuple[float, float]]:
-    """Largest value of f over the full grid and the given patches."""
-    return max((_peak(f, a, b) for a, b in [(_grid(n_a), _grid(n_b)), *patches]),
-               key=lambda peak: peak[0])
+def _search(f, n_a: int, n_b: int, refine_levels: int,
+            b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
+    """Largest value of f over the full grid plus local refinement patches."""
+    best, best_at = _peak(f, _grid(n_a), _grid(n_b))
+    return _refine(f, best, best_at, n_a, n_b, refine_levels, b_ideal)
+
+
+def _coarse(x: np.ndarray) -> np.ndarray:
+    """Every ``_COARSE_STRIDE``-th entry of x and the last, so corners are kept."""
+    return x[np.r_[0:len(x) - 1:_COARSE_STRIDE, len(x) - 1]]
+
+
+def _positive_definite(m: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix of a stack is positive definite.
+
+    Unpivoted LDL^T: a matrix passes when every pivot is positive. The
+    computed factors of a passing matrix are exact for m + E with
+    ||E|| <= n gamma_(n+1) ||m + E|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), about 2.3e-15 ||m|| for n = 4, so a
+    pass proves lambda_min(m) > -2.3e-15 ||m||.
+    """
+    m = m.copy()
+    ok = np.ones(m.shape[:-2], dtype=bool)
+    n = m.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            pivot = m[..., k, k]
+            ok &= pivot > 0.0
+            col = m[..., k + 1:, k] / pivot[..., None]
+            m[..., k + 1:, k + 1:] -= col[..., :, None] * m[..., None, k, k + 1:]
+    return ok
+
+
+def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
+    """Smallest float I below one whose slope covers the pencil slope s."""
+    # 1 - I* carries a relative roundoff of up to 1e-9 at theta = 0.05, so
+    # step up until the slope recomputed from I* covers s
+    i_star = 1.0 - (1.0 - ev.c2) / s
+    while i_star < 1.0 and slope_and_intercept(ev.theta, i_star)[0] < s:
+        i_star = math.nextafter(i_star, 1.0)
+    if not i_star < 1.0:
+        raise ChannelFamilyError(
+            f"slope {s:.6g} at (a={at[0]:.6f}, b={at[1]:.6f}) leaves no "
+            f"cutoff below one for {ev.kind.family} at theta={ev.theta}")
+    return i_star
+
+
+def _screened_peak(ev: _MarginEvaluator, a: np.ndarray, b: np.ndarray,
+                   guess: Peak) -> tuple[float, tuple[float, float], list[Patch]]:
+    """Largest pencil slope over the meshgrid of a and b, solved sparsely.
+
+    ``guess`` is a slope, at most the true maximum, and where it was found.
+    Take the cutoff I0 that it gives, with slope s0 and intercept mu0. A
+    point whose operator T - s0 B - (mu0 + delta) is positive definite has
+    s_min below s0 and cannot hold the maximum. The pencil is solved at
+    every other point, one grid row at a time in row-major order, so ties
+    break as np.argmax over the full grid does. Returns the maximum, where
+    it is, and the solved points as (one-element a, b) meshgrids.
+    """
+    s0, mu0 = slope_and_intercept(ev.theta, _cutoff(ev, *guess))
+    shift = (mu0 + _SCREEN_RTOL * (1.0 + s0)) * np.eye(4)
+    points = []
+    for i in range(0, len(a), _ROW_BLOCK):
+        twirled, bops = ev.stacks(a[i:i + _ROW_BLOCK], b)
+        fails = ~_positive_definite(twirled - s0 * bops - shift)
+        points += [(a[i + r:i + r + 1], b[fails[r]])
+                   for r in np.flatnonzero(fails.any(axis=1))]
+    best, best_at = -np.inf, guess[1]
+    for pa, pb in points:
+        vals = ev.slopes(pa, pb)[0]
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, best_at = float(vals[j]), (float(pa[0]), float(pb[j]))
+    return best, best_at, points
+
+
+def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels: int,
+                     guess: Peak) -> LinearBoundCertificate:
+    """Certificate of ``find_cutoff`` from a slope guess at most the grid maximum."""
+    n_a, n_b = grid
+    s_grid, at, points = _screened_peak(ev, _grid(n_a), _grid(n_b), guess)
+    s_max, (bind_a, bind_b), patches = _refine(ev.slopes, s_grid, at, n_a, n_b,
+                                               refine_levels, ev.b_ideal)
+    i_star = _cutoff(ev, s_max, (bind_a, bind_b))
+    # every screened-out point keeps a margin above delta at I*, so the
+    # solved points and the patches hold the worst one
+    neg, (wa, wb) = max((_peak(lambda a, b: -ev.margins(i_star, a, b), pa, pb)
+                         for pa, pb in [*points, *patches]), key=lambda peak: peak[0])
+    if -neg < -VERIFY_TOL:
+        raise ChannelFamilyError(
+            f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
+            f"(a={wa:.6f}, b={wb:.6f}) for {ev.kind.family} at theta={ev.theta}")
+    s, mu = slope_and_intercept(ev.theta, i_star)
+    return LinearBoundCertificate(
+        theta=ev.theta, family=ev.kind.family, i_star=i_star, slope=s, intercept=mu,
+        grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=VERIFY_TOL,
+        worst_margin=-neg, worst_a=bind_a, worst_b=bind_b,
+        delta_variant=ev.warp.variant)
 
 
 def find_cutoff(theta: float, kind: str | BellKind = "new",
@@ -354,15 +472,24 @@ def find_cutoff(theta: float, kind: str | BellKind = "new",
     """Smallest cutoff I* whose operator inequality holds on the grid.
 
     The bound operator is (T - 1) + s (1 - B), PSD exactly where s is at
-    least the top eigenvalue s_min(a, b) of the pencil (1 - T, 1 - B). One
-    eigensolve per angle pair on an ``n_a x n_b`` grid (at least 101 per
-    axis), with ``refine_levels`` refinement passes around the maximum of
-    s_min and around the ideal point, gives the largest s_min, and then
-    I* = 1 - sin^2 theta / max s_min, rounded up to the first float whose
-    slope covers that maximum. A final margin scan at I* over the grid and
-    the same patches must find no margin below -VERIFY_TOL. Raises
-    ChannelFamilyError if 1 - T fails to vanish on the kernel of 1 - B or
-    the final scan fails, which indicates a broken channel family.
+    least the top eigenvalue s_min(a, b) of the pencil (1 - T, 1 - B). The
+    largest s_min over an ``n_a x n_b`` grid (at least 101 per axis), with
+    ``refine_levels`` refinement passes around its maximum and around the
+    ideal point, gives I* = 1 - sin^2 theta / max s_min, rounded up to the
+    first float whose slope covers that maximum.
+
+    The pencil is solved exactly on every eighth grid row and column (plus
+    the last) for a guess s0, and then only at the grid points a positive
+    definiteness screen cannot clear: the operator at s0 minus
+    delta = 1e-12 (1 + s0), factored by LDL^T whose backward error stays
+    far below delta. Since the margin is nondecreasing in s, a cleared
+    point has s_min < s0 and a margin above delta at I*. So the maximum,
+    where it lies (ties broken in row-major order) and the certificate
+    equal those of a solve at every grid point. A final margin scan at I*
+    over the solved points and the patches must find no margin below
+    -VERIFY_TOL. Raises ChannelFamilyError if 1 - T fails to vanish on the
+    kernel of 1 - B or the final scan fails, which indicates a broken
+    channel family.
     """
     family = kind.family if isinstance(kind, BellKind) else kind
     n_a, n_b = grid
@@ -371,28 +498,8 @@ def find_cutoff(theta: float, kind: str | BellKind = "new",
     if refine_levels < 0:
         raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
     ev = _MarginEvaluator(theta, family, warp_variant=warp_variant)
-    s_max, (bind_a, bind_b), patches = _search(ev.slopes, n_a, n_b, refine_levels,
-                                               ev.b_ideal)
-    # 1 - I* carries a relative roundoff of up to 1e-9 at theta = 0.05, so
-    # step up until the slope recomputed from I* covers s_max
-    i_star = 1.0 - (1.0 - ev.c2) / s_max
-    while i_star < 1.0 and slope_and_intercept(theta, i_star)[0] < s_max:
-        i_star = math.nextafter(i_star, 1.0)
-    if not i_star < 1.0:
-        raise ChannelFamilyError(
-            f"slope {s_max:.6g} at (a={bind_a:.6f}, b={bind_b:.6f}) leaves no "
-            f"cutoff below one for {family} at theta={theta}")
-    neg, (wa, wb) = _rescan(lambda a, b: -ev.margins(i_star, a, b), n_a, n_b, patches)
-    if -neg < -VERIFY_TOL:
-        raise ChannelFamilyError(
-            f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
-            f"(a={wa:.6f}, b={wb:.6f}) for {family} at theta={theta}")
-    s, mu = slope_and_intercept(theta, i_star)
-    return LinearBoundCertificate(
-        theta=float(theta), family=family, i_star=i_star, slope=s, intercept=mu,
-        grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=VERIFY_TOL,
-        worst_margin=-neg, worst_a=bind_a, worst_b=bind_b,
-        delta_variant=ev.warp.variant)
+    guess = _peak(ev.slopes, _coarse(_grid(n_a)), _coarse(_grid(n_b)))
+    return _screened_cutoff(ev, grid, refine_levels, guess)
 
 
 def verify_branch1(cert: LinearBoundCertificate,

@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +58,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-3.9e-05" after a space for a flag, since its own
+        # pattern for negative numbers has no exponent
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits with status 2 on bad arguments; the contract here is 1
     def error(self, message: str):
         raise _UsageError(message)

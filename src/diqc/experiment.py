@@ -134,7 +134,15 @@ def simulate_run(noise: NoiseModel, theta: float) -> RunStatistics:
 
 def end_to_end(noise: NoiseModel, theta: float,
                cert: certify.LinearBoundCertificate) -> certify.FidelityCertificate:
-    """Simulate a run and certify it."""
+    """Simulate a run and certify it.
+
+    The simulated statistics are violations of the symmetric inequality, so
+    only a cutoff of the ``new`` family may certify them.
+    """
+    if cert.family != "new":
+        raise DomainError(
+            f"simulated runs measure the 'new' inequality; a {cert.family!r} "
+            f"cutoff cannot certify them")
     stats = simulate_run(noise, theta)
     return certify.certify_instrument(stats.beta, stats.i0, stats.i1, stats.p0,
                                       theta, cert)

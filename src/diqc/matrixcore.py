@@ -85,9 +85,13 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)) of two states.
 
-    Both arguments must be trace-one density matrices. The result is clamped
-    to [0, 1] to absorb roundoff at the 1e-9 scale, since downstream arccos
-    needs the closed interval.
+    Computed as the nuclear norm of sqrt(rho) sqrt(sigma), the sum of its
+    singular values, which equals that trace. Taking the square root of
+    sqrt(rho) sigma sqrt(rho) instead would turn its roundoff eigenvalues
+    of order 1e-16 into errors of order 1e-8 when the states are of low
+    rank. Both arguments must be trace-one density matrices. The result is
+    clamped to [0, 1] to absorb roundoff at the 1e-9 scale, since
+    downstream arccos needs the closed interval.
     """
     rho = as_matrix(rho, "rho")
     sigma = as_matrix(sigma, "sigma")
@@ -95,9 +99,8 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         tr = np.trace(state).real
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"{name} is not normalized: trace {tr:.8f}")
-    root = psd_sqrt(rho)
-    inner = psd_sqrt(root @ sigma @ root)
-    return float(np.clip(np.trace(inner).real, 0.0, 1.0))
+    singular = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+    return float(np.clip(np.sum(singular), 0.0, 1.0))
 
 
 def block_fidelity(p: "RegisterState", q: "RegisterState") -> float:

@@ -223,6 +223,67 @@ def test_kernel_leak_names_its_input(monkeypatch):
         find_cutoff(0.6, "tilted", grid=(101, 101))
 
 
+# ---- the screen against a solve at every grid point ----
+
+
+def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
+                      refine_levels=certify.DEFAULT_REFINE_LEVELS):
+    # reference solve with no screen: exact slopes at every grid point, the
+    # same refinement patches, and a margin scan over the grid and patches
+    ev = certify._MarginEvaluator(theta, family)
+    s_max, (bind_a, bind_b), patches = certify._search(
+        ev.slopes, *grid, refine_levels, ev.b_ideal)
+    i_star = certify._cutoff(ev, s_max, (bind_a, bind_b))
+    a, b = np.linspace(0.0, np.pi / 2, grid[0]), np.linspace(0.0, np.pi / 2, grid[1])
+    worst = min(float(ev.margins(i_star, pa, pb).min()) for pa, pb in [(a, b), *patches])
+    s, mu = slope_and_intercept(theta, i_star)
+    return certify.LinearBoundCertificate(
+        theta=theta, family=family, i_star=i_star, slope=s, intercept=mu,
+        grid_a=grid[0], grid_b=grid[1], refine_levels=refine_levels, tol=certify.VERIFY_TOL,
+        worst_margin=worst, worst_a=bind_a, worst_b=bind_b, delta_variant=ev.warp.variant)
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_screened_cutoff_equals_full_grid_solve(theta, family):
+    assert find_cutoff(theta, family) == _full_grid_cutoff(theta, family)
+
+
+def test_screened_cutoff_equals_full_grid_solve_unrefined():
+    assert (find_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0)
+            == _full_grid_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0))
+
+
+@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
+def test_low_slope_guess_recovers_grid_maximum(theta, family):
+    ev = certify._MarginEvaluator(theta, family)
+    a = b = np.linspace(0.0, np.pi / 2, 201)
+    slopes = ev.slopes(a, b)
+    i, j = np.unravel_index(np.argmax(slopes), slopes.shape)
+    peak = (float(slopes[i, j]), (float(a[i]), float(b[j])))
+    expected = _full_grid_cutoff(theta, family)
+    for factor in (0.5, 0.9):
+        guess = (factor * peak[0], peak[1])
+        assert certify._screened_peak(ev, a, b, guess)[:2] == peak
+        assert certify._screened_cutoff(ev, (201, 201), 2, guess) == expected
+
+
+def test_positive_definite_mask_matches_eigenvalues():
+    # random symmetric stacks with lambda_min of either sign, between 1e-9
+    # and 1 in magnitude, and the other eigenvalues up to 3
+    rng = np.random.default_rng(17)
+    shape = (40, 50)
+    q, _ = np.linalg.qr(rng.normal(size=shape + (4, 4)))
+    low = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-9, 0, size=shape)
+    rest = rng.uniform(np.abs(low)[..., None], 3.0, size=shape + (3,))
+    vals = np.concatenate([low[..., None], rest], axis=-1)
+    m = (q * vals[..., None, :]) @ q.swapaxes(-1, -2)
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    expected = np.linalg.eigvalsh(m)[..., 0] > 0
+    assert 0 < expected.sum() < expected.size
+    np.testing.assert_array_equal(certify._positive_definite(m), expected)
+
+
 def test_verify_branch1_passes(small_cert):
     worst = verify_branch1(small_cert, grid=(101, 101))
     assert worst >= -1e-8

@@ -129,6 +129,24 @@ def test_simulate_zero_noise(cache_dir, capsys):
     assert row["bound"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_simulate_rejects_tilted_inequality(cache_dir, capsys):
+    code, out, err = run(["simulate", "--theta", "0.6", "--visibility", "0.95",
+                          "--depolarization", "0.02", "--inequality", "tilted",
+                          "--grid-n", "101", "--cache-dir", str(cache_dir)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'new'" in err and "'tilted'" in err
+
+
+@pytest.mark.parametrize("value", ["-3.9e-05", "-1E-3", "-.5"])
+def test_negative_value_after_a_space(value, cache_dir, capsys):
+    base = ["simulate", "--theta", "0.6", "--grid-n", "101", "--cache-dir", str(cache_dir)]
+    spaced = run(base + ["--bob-offset", value], capsys)
+    joined = run(base + [f"--bob-offset={value}"], capsys)
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
 def test_sweep_fig4_row_count_and_header(cache_dir, capsys):
     code, out, _ = run(["sweep-fig4", "--points", "2", "--theta-min", "0.6",
                         "--grid-n", "101", "--cache-dir", str(cache_dir)], capsys)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from diqc import certify, experiment, quantum
+from diqc import certify, experiment, matrixcore, quantum
 from diqc.experiment import (
     NoiseModel,
     cheating_run,
@@ -108,6 +110,13 @@ def test_end_to_end_monotone_in_noise(cert):
         assert end_to_end(noise, THETA, cert).bound <= base + 1e-9
 
 
+def test_end_to_end_rejects_tilted_cutoff(cert):
+    # the simulated violations are of the symmetric inequality
+    tilted = dataclasses.replace(cert, family="tilted")
+    with pytest.raises(quantum.DomainError, match=r"'new'.*'tilted'"):
+        end_to_end(NoiseModel(visibility=0.95), THETA, tilted)
+
+
 def test_noise_sweep_decreasing(cert):
     bounds = [end_to_end(NoiseModel(visibility=v), THETA, cert).bound
               for v in (1.0, 0.98, 0.96, 0.94)]
@@ -136,6 +145,27 @@ def test_soundness_on_sampled_noise(cert):
             branch_depolarization=rng.uniform(0.0, 0.1))
         certified = end_to_end(noise, THETA, cert).bound
         assert certified <= oracle_choi_fidelity(noise, THETA) + 1e-6
+
+
+def test_oracle_fidelity_matches_pure_target_form():
+    # every reference block is pure, sigma = |psi><psi|, where the Uhlmann
+    # fidelity is exactly sqrt(<psi|rho|psi>) with no matrix square root
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for k in range(200):
+        theta = (0.3, 0.6, np.pi / 4)[k % 3]
+        u = rng.uniform(size=4)
+        theta_prime = theta - 0.05 + min(0.1, np.pi / 4 - theta + 0.05) * u[1]
+        actual = quantum.apply_instrument(noisy_instrument(theta_prime, 0.1 * u[2]),
+                                          noisy_source(0.9 + 0.1 * u[0]), side="bob")
+        target = quantum.instrument_choi(quantum.reference_instrument(theta))
+        for (_, _, rho), (_, _, sigma) in zip(actual.blocks, target.blocks):
+            vals, vecs = np.linalg.eigh(sigma)
+            assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+            psi = vecs[:, -1]
+            exact = np.sqrt(np.vdot(psi, rho @ psi).real)
+            worst = max(worst, abs(matrixcore.uhlmann_fidelity(rho, sigma) - exact))
+    assert worst <= 1e-9
 
 
 # ---- the no-go model ----
