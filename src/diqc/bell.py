@@ -32,17 +32,8 @@ from .quantum import (
     alice_observable,
     bob_ideal_angle,
     bob_observable,
+    check_theta,
 )
-
-THETA_LO = 0.05
-THETA_HI = np.pi / 4
-
-
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not (THETA_LO - 1e-12 <= theta <= THETA_HI + 1e-12):
-        raise DomainError(f"theta={theta!r} outside [{THETA_LO}, pi/4]")
-    return theta
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ class BellKind:
         else:
             if self.theta is None:
                 raise DomainError(f"{self.family} requires an angle")
-            object.__setattr__(self, "theta", _check_theta(self.theta))
+            object.__setattr__(self, "theta", check_theta(self.theta))
 
     @classmethod
     def chsh(cls) -> "BellKind":
@@ -134,7 +125,7 @@ def new_bell_value(t: CorrelatorTable, theta: float) -> float:
     (1/4) [ <A0(B0 - B1)>/sin(b_t) + sin(2 theta)/cos(b_t) <A1(B0 + B1)>
             + cos(2 theta) (<A0> + <B0 - B1>/(2 sin(b_t))) ]
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     sb, cb, s2, c2 = _new_coeffs(theta)
     j = t.joint
     return float(0.25 * ((j[0, 0] - j[0, 1]) / sb
@@ -145,7 +136,7 @@ def new_bell_value(t: CorrelatorTable, theta: float) -> float:
 
 def tilted_alpha(theta: float) -> float:
     """Tilt parameter 2/sqrt(1 + 2 tan^2(2 theta)); zero at theta = pi/4."""
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     if abs(theta - np.pi / 4) < 1e-12:
         return 0.0
     tan2 = np.tan(2 * theta)
@@ -160,7 +151,7 @@ def tilted_bell_value(t: CorrelatorTable, theta: float) -> float:
     conventional form with B0 + B1 corresponds to parametrizing Bob's pair
     around sigma_z and never reaches its quantum maximum here.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     alpha = tilted_alpha(theta)
     j = t.joint
     raw = (alpha * t.marginal_a[0]
@@ -180,7 +171,7 @@ def bell_value(kind: BellKind, t: CorrelatorTable) -> float:
 
 def new_bell_operator(theta: float, a: float, b: float) -> np.ndarray:
     """4x4 operator of the symmetric expression at angles (a, b)."""
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     sb, cb, s2, c2 = _new_coeffs(theta)
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
@@ -192,7 +183,7 @@ def new_bell_operator(theta: float, a: float, b: float) -> np.ndarray:
 
 def tilted_operator(theta: float, a: float, b: float) -> np.ndarray:
     """4x4 operator of the normalized tilted-CHSH expression at (a, b)."""
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     alpha = tilted_alpha(theta)
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
@@ -217,7 +208,7 @@ def local_bound_new(theta: float) -> float:
     (1/4) [ c2 + (2 + c2) sqrt((7 - c4)/(5 + c4)) ] with c2 = cos(2 theta),
     c4 = cos(4 theta); attained by the strategy A0 = A1 = B0 = 1, B1 = -1.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     c2, c4 = np.cos(2 * theta), np.cos(4 * theta)
     return float(0.25 * (c2 + (2.0 + c2) * np.sqrt((7.0 - c4) / (5.0 + c4))))
 

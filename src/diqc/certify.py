@@ -23,10 +23,12 @@ PSD exactly when s is at least the top eigenvalue s_min(a, b) of the pencil
 sets I* = 1 - sin^2 theta / max s_min directly; there is no search over I*.
 
 Only a handful of grid points can bind, so the pencil is not solved
-everywhere. Exact slopes on a coarse subgrid give a guess s0 <= max s_min;
-one pass over the full grid then screens out every point whose operator
-(T - 1) + s0 (1 - B) - delta is positive definite, tested by an unpivoted
-LDL^T factorization of the 4x4 stacks. This is sound for three reasons:
+everywhere. Exact slopes at the four corners of [0, pi/2]^2 give a guess
+s0; the corners are grid points, so s0 <= max s_min, and at every default
+angle the grid maximum sits at a corner. One pass over the full grid then
+screens out every point whose operator (T - 1) + s0 (1 - B) - delta is
+positive definite, tested by an unpivoted LDL^T factorization of the 4x4
+stacks. This is sound for three reasons:
 
 * the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
   1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
@@ -37,9 +39,9 @@ LDL^T factorization of the 4x4 stacks. This is sound for three reasons:
 * every remaining point, which includes every point with s_min >= s0 and
   every point where 1 - T leaks into the kernel of 1 - B, is solved exactly.
 
-The certificate is therefore the one a full-grid solve gives, whatever the
-guess; a poor guess only costs time. A final margin scan at I* over the
-solved points and the refinement patches confirms it.
+The certificate is therefore the one a full-grid solve gives for any guess
+at most the grid maximum; a poor guess only costs time. A final margin scan
+at I* over the solved points and the refinement patches confirms it.
 
 The certificate is numerical: it reports the grid, the worst margin of the
 final scan and the angle pair where the bound binds, so callers can
@@ -70,8 +72,6 @@ SOLVER_TAG = "pencil1"
 _REFINE_POINTS = 17
 # grid rows per batched eigensolve or screen: bounds the temporary stacks
 _ROW_BLOCK = 16
-# every _COARSE_STRIDE-th grid index, and the last, gives the screen's guess
-_COARSE_STRIDE = 8
 # the screen clears a point when its operator exceeds delta = this * (1 + s0),
 # far above the LDL^T backward error of about 5e-15 * (1 + s0): the screened
 # operator has norm at most 2 (1 + s0), since ||1 - T|| <= 1 and ||1 - B|| <= 2
@@ -192,7 +192,8 @@ class LinearBoundCertificate:
     depth, the verification tolerance, the worst margin of the final scan,
     the binding angle pair (where the bound is tight, so I* cannot be
     lowered; reported as ``worst_a``, ``worst_b``), and which
-    reparametrization of Bob's extraction channel was in force.
+    reparametrization of Bob's extraction channel was in force (derived from
+    the angle, see ``quantum.AngleWarp``).
     """
 
     theta: float
@@ -228,15 +229,14 @@ class _MarginEvaluator:
     involved is real, so the stacks are float64.
     """
 
-    def __init__(self, theta: float, family: str, branch: int = 0,
-                 warp_variant: str = quantum.WARP_AUTO):
+    def __init__(self, theta: float, family: str, branch: int = 0):
         self.theta = float(theta)
         self.kind = _kind(theta, family)
         self.branch = int(branch)
-        self.warp = quantum.bob_warp(theta, family, warp_variant)
+        self.warp = quantum.bob_warp(theta, family)
         self.b_ideal = self.warp.b_ideal
         self.c2 = math.cos(theta) ** 2
-        state = quantum.partial_entangled_state(theta, branch, theta_min=0.0)
+        state = quantum.partial_entangled_state(theta, branch)
         self._proj = quantum.projector(state).real
         gam = (quantum.H_OBS.real, quantum.V_OBS.real)
         ome = (quantum.SIGMA_X.real, quantum.SIGMA_Z.real)
@@ -304,15 +304,13 @@ class _MarginEvaluator:
         return np.linalg.eigvalsh(r[..., :, None] * g * r[..., None, :])[..., -1]
 
 
-def operator_margin(theta: float, kind: str | BellKind, i_star: float,
-                    a: float, b: float, warp_variant: str = quantum.WARP_AUTO) -> float:
+def operator_margin(theta: float, family: str, i_star: float, a: float, b: float) -> float:
     """Smallest eigenvalue of the bound operator at one angle pair.
 
     Nonnegative margins at every (a, b) make the linear overlap bound with
     cutoff ``i_star`` valid.
     """
-    family = kind.family if isinstance(kind, BellKind) else kind
-    ev = _MarginEvaluator(theta, family, warp_variant=warp_variant)
+    ev = _MarginEvaluator(theta, family)
     return float(ev.margins(i_star, np.array([a]), np.array([b]))[0, 0])
 
 
@@ -370,11 +368,6 @@ def _search(f, n_a: int, n_b: int, refine_levels: int,
     """Largest value of f over the full grid plus local refinement patches."""
     best, best_at = _peak(f, _grid(n_a), _grid(n_b))
     return _refine(f, best, best_at, n_a, n_b, refine_levels, b_ideal)
-
-
-def _coarse(x: np.ndarray) -> np.ndarray:
-    """Every ``_COARSE_STRIDE``-th entry of x and the last, so corners are kept."""
-    return x[np.r_[0:len(x) - 1:_COARSE_STRIDE, len(x) - 1]]
 
 
 def _positive_definite(m: np.ndarray) -> np.ndarray:
@@ -465,10 +458,9 @@ def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels:
         delta_variant=ev.warp.variant)
 
 
-def find_cutoff(theta: float, kind: str | BellKind = "new",
+def find_cutoff(theta: float, family: str = "new",
                 grid: tuple[int, int] = DEFAULT_GRID,
-                refine_levels: int = DEFAULT_REFINE_LEVELS,
-                warp_variant: str = quantum.WARP_AUTO) -> LinearBoundCertificate:
+                refine_levels: int = DEFAULT_REFINE_LEVELS) -> LinearBoundCertificate:
     """Smallest cutoff I* whose operator inequality holds on the grid.
 
     The bound operator is (T - 1) + s (1 - B), PSD exactly where s is at
@@ -478,28 +470,29 @@ def find_cutoff(theta: float, kind: str | BellKind = "new",
     ideal point, gives I* = 1 - sin^2 theta / max s_min, rounded up to the
     first float whose slope covers that maximum.
 
-    The pencil is solved exactly on every eighth grid row and column (plus
-    the last) for a guess s0, and then only at the grid points a positive
-    definiteness screen cannot clear: the operator at s0 minus
-    delta = 1e-12 (1 + s0), factored by LDL^T whose backward error stays
-    far below delta. Since the margin is nondecreasing in s, a cleared
-    point has s_min < s0 and a margin above delta at I*. So the maximum,
-    where it lies (ties broken in row-major order) and the certificate
-    equal those of a solve at every grid point. A final margin scan at I*
+    The pencil is solved exactly at the four corners of [0, pi/2]^2 for a
+    guess s0, and then only at the grid points a positive definiteness
+    screen cannot clear: the operator at s0 minus delta = 1e-12 (1 + s0),
+    factored by LDL^T whose backward error stays far below delta. Since the
+    margin is nondecreasing in s, a cleared point has s_min < s0 and a
+    margin above delta at I*. So the maximum, where it lies (ties broken in
+    row-major order) and the certificate equal those of a solve at every
+    grid point, for any guess at most the grid maximum; the corners are grid
+    points, and at every default angle one of them holds the maximum, so
+    the screen leaves only a few points to solve. A final margin scan at I*
     over the solved points and the patches must find no margin below
     -VERIFY_TOL. Raises ChannelFamilyError if 1 - T fails to vanish on the
     kernel of 1 - B or the final scan fails, which indicates a broken
     channel family.
     """
-    family = kind.family if isinstance(kind, BellKind) else kind
     n_a, n_b = grid
     if n_a < 101 or n_b < 101:
         raise ValueError(f"grid {grid} too coarse: need at least 101 points per axis")
     if refine_levels < 0:
         raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
-    ev = _MarginEvaluator(theta, family, warp_variant=warp_variant)
-    guess = _peak(ev.slopes, _coarse(_grid(n_a)), _coarse(_grid(n_b)))
-    return _screened_cutoff(ev, grid, refine_levels, guess)
+    ev = _MarginEvaluator(theta, family)
+    ends = np.array([0.0, np.pi / 2])
+    return _screened_cutoff(ev, grid, refine_levels, _peak(ev.slopes, ends, ends))
 
 
 def verify_branch1(cert: LinearBoundCertificate,
@@ -512,11 +505,15 @@ def verify_branch1(cert: LinearBoundCertificate,
     angles, so an accepted certificate must pass. Returns the worst margin;
     raises SymmetryViolationError if it is worse than ten times the
     certificate tolerance (an implementation-bug indicator, not a physical
-    failure mode).
+    failure mode). Raises DomainError if the certificate records another
+    ``delta_variant`` than its angle gives.
     """
     n_a, n_b = grid if grid is not None else (cert.grid_a, cert.grid_b)
-    ev = _MarginEvaluator(cert.theta, cert.family, branch=1,
-                          warp_variant=cert.delta_variant)
+    ev = _MarginEvaluator(cert.theta, cert.family, branch=1)
+    if ev.warp.variant != cert.delta_variant:
+        raise DomainError(
+            f"certificate records delta_variant={cert.delta_variant!r}, but "
+            f"theta={cert.theta} gives {ev.warp.variant!r}")
     neg, _, _ = _search(lambda a, b: -ev.margins(cert.i_star, a, b), n_a, n_b,
                         cert.refine_levels, ev.b_ideal)
     if -neg < -10.0 * cert.tol:
@@ -544,6 +541,21 @@ class FidelityCertificate:
     bound: float
 
 
+def _pipeline(beta: float, i0: float, i1: float, p0: float, theta: float,
+              cert: LinearBoundCertificate, floor: bool) -> FidelityCertificate:
+    if abs(cert.theta - theta) > 1e-9:
+        raise DomainError(
+            f"certificate is for theta={cert.theta}, asked to certify theta={theta}")
+    f_in = input_fidelity_bound(beta, floor)
+    f0 = output_fidelity_bound(i0, theta, cert.i_star, floor)
+    f1 = output_fidelity_bound(i1, theta, cert.i_star, floor)
+    f_out = combine_branches(p0, f0, f1)
+    bound = instrument_fidelity_bound(f_in, min(f_out, 1.0))
+    return FidelityCertificate(beta=float(beta), i0=float(i0), i1=float(i1),
+                               p0=float(p0), f_in=f_in, f_out0=f0, f_out1=f1,
+                               f_out=f_out, bound=bound)
+
+
 def certify_instrument(beta: float, i0: float, i1: float, p0: float,
                        theta: float, cert: LinearBoundCertificate) -> FidelityCertificate:
     """Full certification pipeline from observed statistics.
@@ -552,19 +564,9 @@ def certify_instrument(beta: float, i0: float, i1: float, p0: float,
     its violation through the certificate's cutoff (one cutoff serves both
     branches by the mirror symmetry), the branches combine with square-root
     probability weights, and input and output compose through the arccos
-    triangle inequality.
+    triangle inequality. The certificate must be for ``theta``.
     """
-    if abs(cert.theta - theta) > 1e-9:
-        raise DomainError(
-            f"certificate is for theta={cert.theta}, asked to certify theta={theta}")
-    f_in = input_fidelity_bound(beta)
-    f0 = output_fidelity_bound(i0, theta, cert.i_star)
-    f1 = output_fidelity_bound(i1, theta, cert.i_star)
-    f_out = combine_branches(p0, f0, f1)
-    bound = instrument_fidelity_bound(f_in, min(f_out, 1.0))
-    return FidelityCertificate(beta=float(beta), i0=float(i0), i1=float(i1),
-                               p0=float(p0), f_in=f_in, f_out0=f0, f_out1=f1,
-                               f_out=f_out, bound=bound)
+    return _pipeline(beta, i0, i1, p0, theta, cert, floor=True)
 
 
 def raw_pipeline_bound(beta: float, i: float, theta: float,
@@ -573,13 +575,7 @@ def raw_pipeline_bound(beta: float, i: float, theta: float,
 
     Both branches are assumed to reach the same violation. Dropping the
     floors lets the surface reach the zero clamp in the low-violation
-    corner instead of saturating at the floor composition.
+    corner instead of saturating at the floor composition. The certificate
+    must be for ``theta``.
     """
-    f_in = input_fidelity_bound(beta, floor=False)
-    f0 = output_fidelity_bound(i, theta, cert.i_star, floor=False)
-    f1 = output_fidelity_bound(i, theta, cert.i_star, floor=False)
-    f_out = combine_branches(p0, f0, f1)
-    bound = instrument_fidelity_bound(f_in, min(f_out, 1.0))
-    return FidelityCertificate(beta=float(beta), i0=float(i), i1=float(i),
-                               p0=float(p0), f_in=f_in, f_out0=f0, f_out1=f1,
-                               f_out=f_out, bound=bound)
+    return _pipeline(beta, i, i, p0, theta, cert, floor=False)

@@ -15,10 +15,10 @@ re-parses to the exact same value. Exit codes: 0 success, 1 usage error,
 
 Cutoff certificates are cached under ``--cache-dir`` (or the
 ``DIQC_CACHE_DIR`` environment variable, default ``~/.cache/diqc``), keyed
-by angle, inequality, grid, refinement depth, channel variant and solver
-tag, so sweeps do not re-run the solver and a certificate written by another
-solver is never served. An entry that cannot be parsed is solved again and
-rewritten; entries are written atomically.
+by angle, inequality, grid, refinement depth and solver tag, so sweeps do
+not re-run the solver and a certificate written by another solver is never
+served. An entry that cannot be parsed is solved again and rewritten;
+entries are written atomically.
 """
 
 from __future__ import annotations
@@ -131,9 +131,8 @@ def cutoff_from_row(row: dict) -> certify.LinearBoundCertificate:
 
 
 def _cache_path(cache_dir: Path, theta: float, family: str, grid: tuple[int, int],
-                refine: int, warp: str) -> Path:
-    key = (f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{warp}"
-           f"|{certify.SOLVER_TAG}")
+                refine: int) -> Path:
+    key = f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{certify.SOLVER_TAG}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cutoff-{family}-{digest}.json"
 
@@ -153,8 +152,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
-                         refine: int, cache_dir: Path | None,
-                         warp: str = quantum.WARP_AUTO) -> certify.LinearBoundCertificate:
+                         refine: int, cache_dir: Path | None) -> certify.LinearBoundCertificate:
     """Fetch a cached cutoff certificate or run the solver and cache it.
 
     A cache entry that is truncated or does not parse as a certificate is
@@ -162,14 +160,13 @@ def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
     """
     path = None
     if cache_dir is not None:
-        path = _cache_path(cache_dir, theta, family, grid, refine, warp)
+        path = _cache_path(cache_dir, theta, family, grid, refine)
         if path.exists():
             try:
                 return cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
             except (ValueError, KeyError, TypeError):
                 pass
-    cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine,
-                               warp_variant=warp)
+    cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine)
     if path is not None:
         _write_atomic(path, json.dumps(cutoff_to_row(cert)))
     return cert
@@ -258,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig4", help="cutoff versus instrument angle, both tests")
-    p.add_argument("--theta-min", type=float, default=bell.THETA_LO)
-    p.add_argument("--theta-max", type=float, default=float(np.pi / 4))
+    p.add_argument("--theta-min", type=float, default=quantum.THETA_RANGE[0])
+    p.add_argument("--theta-max", type=float, default=quantum.THETA_RANGE[1])
     p.add_argument("--points", type=_positive_int, default=25)
     _add_solver_args(p)
     _add_io_args(p)
@@ -303,6 +300,7 @@ def cmd_simulate(args) -> int:
         visibility=args.visibility, alice_angle_offset=args.alice_offset,
         bob_angle_offset=args.bob_offset, instrument_theta=args.instrument_theta,
         branch_depolarization=args.depolarization)
+    experiment.check_simulated_family(args.inequality)
     cert = _solve(args, args.theta, args.inequality)
     fc = experiment.end_to_end(noise, args.theta, cert)
     row = {"theta": args.theta, **dataclasses.asdict(fc)}
@@ -316,12 +314,8 @@ def cmd_sweep_fig4(args) -> int:
     for family in ("new", "tilted"):
         for theta in thetas:
             cert = _solve(args, float(theta), family)
-            rows.append({"theta": cert.theta, "inequality": cert.family,
-                         "i_star": cert.i_star, "slope": cert.slope,
-                         "intercept": cert.intercept,
-                         "worst_margin": cert.worst_margin,
-                         "grid_n": cert.grid_a,
-                         "delta_variant": cert.delta_variant})
+            row = {**cutoff_to_row(cert), "grid_n": cert.grid_a}
+            rows.append({key: row[key] for key in FIG4_HEADER})
     rows.sort(key=lambda r: (r["inequality"], r["theta"]))
     emit_rows(FIG4_HEADER, rows, args.format, args.out)
     return 0

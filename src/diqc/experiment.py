@@ -132,17 +132,22 @@ def simulate_run(noise: NoiseModel, theta: float) -> RunStatistics:
     return RunStatistics(beta=beta, i0=i0, i1=i1, p0=register.probability(0))
 
 
-def end_to_end(noise: NoiseModel, theta: float,
-               cert: certify.LinearBoundCertificate) -> certify.FidelityCertificate:
-    """Simulate a run and certify it.
+def check_simulated_family(family: str) -> None:
+    """Reject a cutoff family other than ``new`` for simulated statistics.
 
     The simulated statistics are violations of the symmetric inequality, so
     only a cutoff of the ``new`` family may certify them.
     """
-    if cert.family != "new":
+    if family != "new":
         raise DomainError(
-            f"simulated runs measure the 'new' inequality; a {cert.family!r} "
+            f"simulated runs measure the 'new' inequality; a {family!r} "
             f"cutoff cannot certify them")
+
+
+def end_to_end(noise: NoiseModel, theta: float,
+               cert: certify.LinearBoundCertificate) -> certify.FidelityCertificate:
+    """Simulate a run and certify it with a ``new``-family cutoff."""
+    check_simulated_family(cert.family)
     stats = simulate_run(noise, theta)
     return certify.certify_instrument(stats.beta, stats.i0, stats.i1, stats.p0,
                                       theta, cert)

@@ -35,7 +35,8 @@ V_OBS = (SIGMA_Z - SIGMA_X) / np.sqrt(2.0)
 # Rotation by pi around the x axis, exp(i pi/2 sigma_x) = i sigma_x.
 ROT_X_PI = 1j * SIGMA_X
 
-THETA_MIN_DEFAULT = 0.05
+# the instrument angles every cutoff, Bell expression and target state accept
+THETA_RANGE = (0.05, np.pi / 4)
 _SQRT2_P1 = 1.0 + np.sqrt(2.0)
 _ANGLE_SLACK = 1e-12
 
@@ -55,6 +56,15 @@ def _check_range(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def check_theta(theta: float) -> float:
+    """The instrument angle as a float, if it lies in ``THETA_RANGE``."""
+    theta = float(theta)
+    lo, hi = THETA_RANGE
+    if not (lo - _ANGLE_SLACK <= theta <= hi + _ANGLE_SLACK):
+        raise DomainError(f"theta={theta!r} outside [{lo}, pi/4]")
+    return theta
+
+
 def projector(vec: np.ndarray) -> np.ndarray:
     """Rank-one projector |v><v| for a state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
@@ -68,14 +78,13 @@ def phi_plus() -> np.ndarray:
     return v
 
 
-def partial_entangled_state(theta: float, branch: int = 0, *,
-                            theta_min: float = THETA_MIN_DEFAULT) -> np.ndarray:
+def partial_entangled_state(theta: float, branch: int = 0) -> np.ndarray:
     """Partially entangled two-qubit state for one instrument branch.
 
     Branch 0 is cos(theta)|00> + sin(theta)|11>, branch 1 swaps the two
     amplitudes. The two branches are related by sigma_x tensor sigma_x.
     """
-    theta = _check_range(theta, theta_min, np.pi / 4, "theta")
+    theta = check_theta(theta)
     if branch not in (0, 1):
         raise DomainError(f"branch must be 0 or 1, got {branch!r}")
     c, s = np.cos(theta), np.sin(theta)
@@ -353,7 +362,6 @@ def dephasing_alice(a: float) -> DephasingChannel:
 # half-angle that moves the profile peak from pi/4 to the ideal angle.
 
 LINEAR_WARP = "linear"
-WARP_AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -361,11 +369,17 @@ class AngleWarp:
     """Monotone reparametrization t(b) of Bob's half-angle.
 
     The extraction weight is g(t(b)), so the warp decides where Bob's channel
-    is the identity (t = pi/4) and how fast it dephases away from there.
+    is the identity (t = pi/4) and how fast it dephases away from there. It
+    maps [0, b_ideal] onto [0, pi/4] and [b_ideal, pi/2] onto [pi/4, pi/2]
+    linearly, and is the identity exactly when b_ideal = pi/4 (theta = pi/4,
+    the CHSH case), which ``variant`` records.
     """
 
-    variant: str
     b_ideal: float
+
+    @property
+    def variant(self) -> str:
+        return "identity" if abs(self.b_ideal - np.pi / 4) < 1e-12 else LINEAR_WARP
 
     def __call__(self, b: np.ndarray | float) -> np.ndarray:
         shape = np.shape(b)
@@ -377,34 +391,20 @@ class AngleWarp:
         return np.where(b <= self.b_ideal, lo, hi).reshape(shape)
 
 
-def bob_warp(theta: float, kind: str = "new", variant: str = WARP_AUTO) -> AngleWarp:
-    """Build the reparametrization of Bob's angle for a given inequality.
-
-    ``auto`` selects the piecewise-linear warp: it maps [0, b_ideal] onto
-    [0, pi/4] and [b_ideal, pi/2] onto [pi/4, pi/2], reduces to the identity
-    exactly when b_ideal = pi/4 (theta = pi/4, the CHSH case) and keeps a
-    usable identity window for every theta.
-    """
-    b_ideal = bob_ideal_angle(theta, kind)
-    if variant == WARP_AUTO or variant == LINEAR_WARP:
-        if abs(b_ideal - np.pi / 4) < 1e-12:
-            return AngleWarp("identity", b_ideal)
-        return AngleWarp(LINEAR_WARP, b_ideal)
-    if variant == "identity":
-        return AngleWarp("identity", b_ideal)
-    raise DomainError(f"unknown warp variant {variant!r}")
+def bob_warp(theta: float, kind: str = "new") -> AngleWarp:
+    """The reparametrization of Bob's angle for a given inequality."""
+    return AngleWarp(bob_ideal_angle(theta, kind))
 
 
-def bob_dephasing_weight(b: np.ndarray | float, theta: float, kind: str = "new",
-                         variant: str = WARP_AUTO) -> np.ndarray | float:
+def bob_dephasing_weight(b: np.ndarray | float, theta: float,
+                         kind: str = "new") -> np.ndarray | float:
     """Mixing weight (1 + g(t(b)))/2 of Bob's extraction channel."""
-    warp = bob_warp(theta, kind, variant)
+    warp = bob_warp(theta, kind)
     out = (1.0 + np.asarray(dephasing_profile(warp(np.asarray(b, dtype=float))))) / 2.0
     return out if out.ndim else float(out)
 
 
-def dephasing_bob(b: float, theta: float, kind: str = "new",
-                  variant: str = WARP_AUTO) -> DephasingChannel:
+def dephasing_bob(b: float, theta: float, kind: str = "new") -> DephasingChannel:
     """Bob's extraction channel at measurement half-angle b.
 
     Identity at the ideal angle b_ideal(theta, kind); dephases toward
@@ -414,7 +414,7 @@ def dephasing_bob(b: float, theta: float, kind: str = "new",
     b = _check_range(b, 0.0, np.pi / 2, "b")
     b_ideal = bob_ideal_angle(theta, kind)
     axis = SIGMA_X if b <= b_ideal else SIGMA_Z
-    return DephasingChannel(bob_dephasing_weight(b, theta, kind, variant), axis)
+    return DephasingChannel(bob_dephasing_weight(b, theta, kind), axis)
 
 
 def apply_one_sided(channel: DephasingChannel, rho: np.ndarray, side: str) -> np.ndarray:

@@ -81,10 +81,8 @@ def test_criterion_05_branch_symmetry(cutoffs):
     for cert in certs:
         worst = certify.verify_branch1(cert)
         assert worst >= -1e-8
-        ev0 = certify._MarginEvaluator(cert.theta, cert.family, branch=0,
-                                       warp_variant=cert.delta_variant)
-        ev1 = certify._MarginEvaluator(cert.theta, cert.family, branch=1,
-                                       warp_variant=cert.delta_variant)
+        ev0 = certify._MarginEvaluator(cert.theta, cert.family, branch=0)
+        ev1 = certify._MarginEvaluator(cert.theta, cert.family, branch=1)
         a = rng.uniform(0.0, np.pi / 2, size=100)
         b = rng.uniform(0.0, np.pi / 2, size=100)
         m1 = np.diagonal(ev1.margins(cert.i_star, a, b))
@@ -130,7 +128,7 @@ def test_criterion_08_fig5_surface(cutoffs, tmp_path, capsys):
     cert = cutoffs.get(FIG5_THETA, "new")
     cache = tmp_path / "cache"
     path = cli._cache_path(cache, FIG5_THETA, "new", (201, 201),
-                           certify.DEFAULT_REFINE_LEVELS, quantum.WARP_AUTO)
+                           certify.DEFAULT_REFINE_LEVELS)
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps(cli.cutoff_to_row(cert)))
     out_file = tmp_path / "fig5.csv"

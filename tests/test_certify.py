@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,32 @@ def test_low_slope_guess_recovers_grid_maximum(theta, family):
         assert certify._screened_cutoff(ev, (201, 201), 2, guess) == expected
 
 
+@pytest.mark.parametrize("theta, family", [(0.3, "new"), (0.6, "tilted")])
+def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
+    # outside the refinement patches the pencil is solved only at the four
+    # corners and at the grid points the screen cannot clear
+    solved = []
+    in_patches = [False]
+    slopes, refine = certify._MarginEvaluator.slopes, certify._refine
+
+    def counting_slopes(self, a, b):
+        if not in_patches[0]:
+            solved.append(len(a) * len(b))
+        return slopes(self, a, b)
+
+    def uncounted_refine(*args, **kwargs):
+        in_patches[0] = True
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            in_patches[0] = False
+
+    monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
+    monkeypatch.setattr(certify, "_refine", uncounted_refine)
+    find_cutoff(theta, family)
+    assert 4 < sum(solved) <= 10
+
+
 def test_positive_definite_mask_matches_eigenvalues():
     # random symmetric stacks with lambda_min of either sign, between 1e-9
     # and 1 in magnitude, and the other eigenvalues up to 3
@@ -287,6 +315,12 @@ def test_positive_definite_mask_matches_eigenvalues():
 def test_verify_branch1_passes(small_cert):
     worst = verify_branch1(small_cert, grid=(101, 101))
     assert worst >= -1e-8
+
+
+def test_verify_branch1_rejects_wrong_delta_variant(small_cert):
+    relabelled = dataclasses.replace(small_cert, delta_variant="identity")
+    with pytest.raises(DomainError, match="delta_variant"):
+        verify_branch1(relabelled, grid=(101, 101))
 
 
 def test_branch_margins_mirror_in_alice_angle(small_cert):
@@ -330,6 +364,11 @@ def test_certify_monotone_in_observations(small_cert):
 def test_certify_requires_matching_angle(small_cert):
     with pytest.raises(DomainError):
         certify_instrument(2.5, 0.95, 0.95, 0.5, 0.55, small_cert)
+
+
+def test_raw_pipeline_requires_matching_angle(small_cert):
+    with pytest.raises(DomainError):
+        certify.raw_pipeline_bound(2.5, 0.95, 0.55, small_cert)
 
 
 def test_raw_pipeline_reaches_zero(small_cert):

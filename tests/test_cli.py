@@ -138,6 +138,14 @@ def test_simulate_rejects_tilted_inequality(cache_dir, capsys):
     assert "'new'" in err and "'tilted'" in err
 
 
+def test_simulate_rejects_tilted_inequality_before_solving(cache_dir, capsys):
+    code, _, _ = run(["simulate", "--theta", "0.6", "--visibility", "0.95",
+                      "--inequality", "tilted", "--grid-n", "101",
+                      "--cache-dir", str(cache_dir)], capsys)
+    assert code == 2
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
 @pytest.mark.parametrize("value", ["-3.9e-05", "-1E-3", "-.5"])
 def test_negative_value_after_a_space(value, cache_dir, capsys):
     base = ["simulate", "--theta", "0.6", "--grid-n", "101", "--cache-dir", str(cache_dir)]
@@ -243,7 +251,7 @@ def test_cache_entry_of_old_solver_is_not_read(cache_dir, capsys):
     code, out, _ = run(cutoff_args(cache_dir), capsys)
     assert code == 0
     assert abs(cli.parse_rows(out)[0]["i_star"] - ANCHOR) < 1e-9
-    assert cli._cache_path(cache_dir, theta, "new", (101, 101), 2, "auto") != stale
+    assert cli._cache_path(cache_dir, theta, "new", (101, 101), 2) != stale
 
 
 def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
