@@ -297,34 +297,63 @@ _XI = np.kron(_X, _I)
 _IZ = np.kron(_I, _Z)
 
 
+def alice_factors(a: np.ndarray) -> np.ndarray:
+    """Alice's coefficient rows (p, q, 1) over the angle array a.
+
+    Her observables are A_0 = p sz + q sx and A_1 = q sz + p sx with
+    p = cos(a - pi/4) and q = -sin(a - pi/4); the row of ones carries the
+    terms that act on Bob alone. Returns shape (3, len(a)).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    p = (np.cos(a) + np.sin(a)) / np.sqrt(2.0)
+    q = (np.cos(a) - np.sin(a)) / np.sqrt(2.0)
+    return np.stack([p, q, np.ones_like(a)])
+
+
+_P, _Q, _ONE = 0, 1, 2
+
+
+def bell_terms(kind: BellKind,
+               b: np.ndarray) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], float]:
+    """Separable form of the Bell operator over Bob's angle array b.
+
+    Returns the terms (i, g, K) and a normalization n such that
+    B(a, b) = sum of alice_factors(a)[i] * g(b) * K over the terms, divided
+    by n. Each K is a fixed real Pauli product and each g has shape
+    (len(b),). The term order is the summation order of
+    ``bell_operator_grid``.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    sb, cb = np.sin(b), np.cos(b)
+    # A_0 (x) sz under B0 - B1 = 2 sin(b) sz, A_1 (x) sx under
+    # B0 + B1 = 2 cos(b) sx, then A_0 (x) identity
+    if kind.family == "new":
+        sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
+        t_diff = sb / (2.0 * sb_t)
+        t_sum = cb * s2 / (2.0 * cb_t)
+        marg = np.full_like(b, c2 / 4.0)
+        return [(_P, t_diff, _ZZ), (_Q, t_diff, _XZ), (_Q, t_sum, _ZX), (_P, t_sum, _XX),
+                (_P, marg, _ZI), (_Q, marg, _XI),
+                (_ONE, c2 * sb / (4.0 * sb_t), _IZ)], 1.0
+    if kind.family == "tilted":
+        alpha = tilted_alpha(kind.theta)
+        t_diff, t_sum, marg = 2.0 * sb, 2.0 * cb, np.full_like(b, alpha)
+        return [(_P, t_diff, _ZZ), (_Q, t_diff, _XZ), (_Q, t_sum, _ZX), (_P, t_sum, _XX),
+                (_P, marg, _ZI), (_Q, marg, _XI)], float(np.sqrt(8.0 + 2.0 * alpha * alpha))
+    raise DomainError("chsh has no single-parameter operator form here")
+
+
 def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack of Bell operators over the meshgrid of angle arrays.
 
-    Returns a real array of shape (len(a), len(b), 4, 4). Decomposes the
-    operator over fixed Pauli products with scalar coefficient grids; agrees
-    with the single-point constructors to machine precision.
+    Returns a real array of shape (len(a), len(b), 4, 4), summed from the
+    terms of ``bell_terms`` in their order; agrees with the single-point
+    constructors to machine precision.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    # Alice observables A_0 = p sz + q sx, A_1 = q sz + p sx
-    p = (np.cos(a) + np.sin(a)) / np.sqrt(2.0)
-    q = (np.cos(a) - np.sin(a)) / np.sqrt(2.0)
-    sb, cb = np.sin(b), np.cos(b)
-    pa = p[:, None, None, None]
-    qa = q[:, None, None, None]
-    m_diff = pa * _ZZ + qa * _XZ      # A_0 (x) sz  under B0 - B1 = 2 sin(b) sz
-    m_sum = qa * _ZX + pa * _XX       # A_1 (x) sx  under B0 + B1 = 2 cos(b) sx
-    m_marg = pa * _ZI + qa * _XI      # A_0 (x) identity
-    if kind.family == "new":
-        sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
-        t_diff = (sb / (2.0 * sb_t))[None, :, None, None]
-        t_sum = (cb * s2 / (2.0 * cb_t))[None, :, None, None]
-        t_bmarg = (c2 * sb / (4.0 * sb_t))[None, :, None, None]
-        return t_diff * m_diff + t_sum * m_sum + (c2 / 4.0) * m_marg + t_bmarg * _IZ
-    if kind.family == "tilted":
-        alpha = tilted_alpha(kind.theta)
-        norm = np.sqrt(8.0 + 2.0 * alpha * alpha)
-        t_diff = (2.0 * sb)[None, :, None, None]
-        t_sum = (2.0 * cb)[None, :, None, None]
-        return (t_diff * m_diff + t_sum * m_sum + alpha * m_marg) / norm
-    raise DomainError("chsh has no single-parameter operator form here")
+    fa = alice_factors(a)
+    terms, norm = bell_terms(kind, b)
+    (i, g, k), *rest = terms
+    out = (fa[i][:, None] * g)[..., None, None] * k
+    for i, g, k in rest:
+        out += (fa[i][:, None] * g)[..., None, None] * k
+    return out / norm

@@ -27,15 +27,25 @@ everywhere. Exact slopes at the four corners of [0, pi/2]^2 give a guess
 s0; the corners are grid points, so s0 <= max s_min, and at every default
 angle the grid maximum sits at a corner. One pass over the full grid then
 screens out every point whose operator (T - 1) + s0 (1 - B) - delta is
-positive definite, tested by an unpivoted LDL^T factorization of the 4x4
-stacks. This is sound for three reasons:
+positive definite, tested by an unpivoted LDL^T factorization.
+
+The screen builds no 4x4 operator stacks. The operator is separable,
+T - s0 B - mu0 = sum_ij x_i(a) y_j(b) C_ij, with six factors of a (the
+twirl's three and Alice's (p, q, 1)), ten or eleven of b and fixed real 4x4
+matrices C_ij, so one contraction and one matrix product give its ten
+lower-triangle entries for a block of grid rows as contiguous planes, and
+the LDL^T runs on those planes entry by entry. This is sound for four
+reasons:
 
 * the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
   1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
   clears it at the final slope, which is at least s0;
+* the planes differ from the operator the stacks give by about 1e-15
+  (1 + s0) per entry (a test holds them to 1e-14 (1 + s0) at four angles
+  for both families), far below delta = 1e-12 (1 + s0);
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
-  of Numerical Algorithms, Thm 10.3), far below delta = 1e-12 (1 + s0);
+  of Numerical Algorithms, Thm 10.3), also far below delta;
 * every remaining point, which includes every point with s_min >= s0 and
   every point where 1 - T leaks into the kernel of 1 - B, is solved exactly.
 
@@ -70,11 +80,16 @@ VERIFY_TOL = 1e-9
 # changes the certificates, so cached ones from the old solver are not served
 SOLVER_TAG = "pencil1"
 _REFINE_POINTS = 17
-# grid rows per batched eigensolve or screen: bounds the temporary stacks
-_ROW_BLOCK = 16
+# matrices per batched eigensolve or screen call, 16 rows of the default
+# grid: bounds the temporary stacks, and a refinement patch fits in one call
+_BLOCK_MATRICES = 16 * 201
+# lower triangle of a 4x4 matrix, the entries the screen builds
+_LOWER = np.tril_indices(4)
 # the screen clears a point when its operator exceeds delta = this * (1 + s0),
-# far above the LDL^T backward error of about 5e-15 * (1 + s0): the screened
-# operator has norm at most 2 (1 + s0), since ||1 - T|| <= 1 and ||1 - B|| <= 2
+# far above the LDL^T backward error of about 5e-15 * (1 + s0) and the error
+# of about 1e-15 * (1 + s0) in building it from separable factors: the
+# screened operator has norm at most 2 (1 + s0), since ||1 - T|| <= 1 and
+# ||1 - B|| <= 2
 _SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
@@ -248,6 +263,14 @@ class _MarginEvaluator:
         self._conj_ab = np.array(
             [[np.kron(g, o) @ self._proj @ np.kron(g, o) for o in ome] for g in gam])
         self._rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
+        # the twirl is sum_ij x_i(a) y_j(b) twirl[i, j] with the factors
+        # x = (wa, (1 - wa) [a <= pi/4], (1 - wa) [a > pi/4]) and y likewise
+        # at b_ideal, which fold in the dephasing-axis selection of ``stacks``
+        self._twirl = np.empty((3, 3, 4, 4))
+        self._twirl[0, 0] = self._proj
+        self._twirl[0, 1:] = self._conj_b
+        self._twirl[1:, 0] = self._conj_a
+        self._twirl[1:, 1:] = self._conj_ab
 
     def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channel-twirled projector stack and Bell stack on the meshgrid."""
@@ -273,6 +296,33 @@ class _MarginEvaluator:
             base = bell.bell_operator_grid(self.kind, np.pi / 2 - a, b)
             bops = np.einsum("ij,abjk,lk->abil", self._rr, base, self._rr)
         return twirled, bops
+
+    def separable(self, s0: float, shift: float, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Separable factors of the operator T - s0 B - shift on the meshgrid.
+
+        Returns x of shape (len(a), 6), c of shape (6, n, 10) and y of shape
+        (n, len(b)) such that entry e of the lower triangle (in ``_LOWER``
+        order) at (a[r], b[k]) is sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's
+        factors are the twirl's three and ``bell.alice_factors``; Bob's are
+        the twirl's three, one per term of ``bell.bell_terms`` and a row of
+        ones that carries the shift. This is the branch-0 operator, the
+        only one the cutoff solver screens.
+        """
+        wa = np.atleast_1d(quantum.alice_dephasing_weight(a))
+        wb = (1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0
+        far_a, far_b = a > np.pi / 4, b > self.b_ideal
+        x = np.vstack([wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a,
+                       bell.alice_factors(a)]).T
+        terms, norm = bell.bell_terms(self.kind, b)
+        y = np.vstack([wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b,
+                       *(g for _, g, _ in terms), np.ones_like(b)])
+        c = np.zeros((6, len(y), 4, 4))
+        c[:3, :3] = self._twirl
+        for t, (i, _, k) in enumerate(terms):
+            c[3 + i, 3 + t] = (-s0 / norm) * k
+        c[5, -1] = -shift * np.eye(4)
+        return x, c[:, :, _LOWER[0], _LOWER[1]], y
 
     def margins(self, i_star: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of the bound operator at cutoff ``i_star``."""
@@ -322,14 +372,19 @@ def _grid(n: int) -> np.ndarray:
     return np.linspace(0.0, np.pi / 2, n)
 
 
+def _rows(n_b: int) -> int:
+    """Grid rows per batched call when each row holds n_b matrices."""
+    return max(1, _BLOCK_MATRICES // n_b)
+
+
 def _peak(f, a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[float, float]]:
     """Largest value of f over the meshgrid of a and b, and where it is.
 
-    Evaluates ``_ROW_BLOCK`` values of a at a time, which bounds the size
-    of the temporary operator stacks.
+    Evaluates ``_rows(len(b))`` values of a at a time, which bounds the
+    size of the temporary operator stacks.
     """
-    vals = np.concatenate([f(a[i:i + _ROW_BLOCK], b)
-                           for i in range(0, len(a), _ROW_BLOCK)])
+    rows = _rows(len(b))
+    vals = np.concatenate([f(a[i:i + rows], b) for i in range(0, len(a), rows)])
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     return float(vals[idx]), (float(a[idx[0]]), float(b[idx[1]]))
 
@@ -373,22 +428,36 @@ def _search(f, n_a: int, n_b: int, refine_levels: int,
 def _positive_definite(m: np.ndarray) -> np.ndarray:
     """Whether each symmetric matrix of a stack is positive definite.
 
-    Unpivoted LDL^T: a matrix passes when every pivot is positive. The
-    computed factors of a passing matrix are exact for m + E with
-    ||E|| <= n gamma_(n+1) ||m + E|| (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), about 2.3e-15 ||m|| for n = 4, so a
+    Unpivoted LDL^T on the lower triangle, entry by entry, so only entries
+    m[..., i, j] with i >= j are read: a matrix passes when every pivot is
+    positive. The computed factors of a passing matrix are exact for m + E
+    with ||E|| <= n gamma_(n+1) ||m + E|| (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), about 2.3e-15 ||m|| for n = 4, so a
     pass proves lambda_min(m) > -2.3e-15 ||m||.
     """
-    m = m.copy()
-    ok = np.ones(m.shape[:-2], dtype=bool)
     n = m.shape[-1]
+    low = {(i, j): m[..., i, j] for i in range(n) for j in range(i + 1)}
+    ok = np.ones(m.shape[:-2], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n):
-            pivot = m[..., k, k]
+            pivot = low[k, k]
             ok &= pivot > 0.0
-            col = m[..., k + 1:, k] / pivot[..., None]
-            m[..., k + 1:, k + 1:] -= col[..., :, None] * m[..., None, k, k + 1:]
+            col = {i: low[i, k] / pivot for i in range(k + 1, n)}
+            for i in range(k + 1, n):
+                for j in range(k + 1, i + 1):
+                    low[i, j] = low[i, j] - col[i] * low[j, k]
     return ok
+
+
+def _lower_stack(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stack [r, k, i, j] of the matrices with the separable factors x, c, y.
+
+    Only the lower triangle is filled, as contiguous (len(x), y.shape[1])
+    planes: one contraction and one matrix product.
+    """
+    m = np.empty((4, 4, len(x), y.shape[1]))
+    m[_LOWER] = np.einsum("ri,ije->erj", x, c) @ y
+    return np.moveaxis(m, (0, 1), (2, 3))
 
 
 def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
@@ -418,11 +487,11 @@ def _screened_peak(ev: _MarginEvaluator, a: np.ndarray, b: np.ndarray,
     it is, and the solved points as (one-element a, b) meshgrids.
     """
     s0, mu0 = slope_and_intercept(ev.theta, _cutoff(ev, *guess))
-    shift = (mu0 + _SCREEN_RTOL * (1.0 + s0)) * np.eye(4)
+    x, c, y = ev.separable(s0, mu0 + _SCREEN_RTOL * (1.0 + s0), a, b)
+    rows = _rows(len(b))
     points = []
-    for i in range(0, len(a), _ROW_BLOCK):
-        twirled, bops = ev.stacks(a[i:i + _ROW_BLOCK], b)
-        fails = ~_positive_definite(twirled - s0 * bops - shift)
+    for i in range(0, len(a), rows):
+        fails = ~_positive_definite(_lower_stack(x[i:i + rows], c, y))
         points += [(a[i + r:i + r + 1], b[fails[r]])
                    for r in np.flatnonzero(fails.any(axis=1))]
     best, best_at = -np.inf, guess[1]
@@ -473,17 +542,18 @@ def find_cutoff(theta: float, family: str = "new",
     The pencil is solved exactly at the four corners of [0, pi/2]^2 for a
     guess s0, and then only at the grid points a positive definiteness
     screen cannot clear: the operator at s0 minus delta = 1e-12 (1 + s0),
-    factored by LDL^T whose backward error stays far below delta. Since the
-    margin is nondecreasing in s, a cleared point has s_min < s0 and a
-    margin above delta at I*. So the maximum, where it lies (ties broken in
-    row-major order) and the certificate equal those of a solve at every
-    grid point, for any guess at most the grid maximum; the corners are grid
-    points, and at every default angle one of them holds the maximum, so
-    the screen leaves only a few points to solve. A final margin scan at I*
-    over the solved points and the patches must find no margin below
-    -VERIFY_TOL. Raises ChannelFamilyError if 1 - T fails to vanish on the
-    kernel of 1 - B or the final scan fails, which indicates a broken
-    channel family.
+    built from its separable factors as planes of matrix entries and
+    factored by LDL^T; the construction error and the backward error both
+    stay far below delta. Since the margin is nondecreasing in s, a cleared
+    point has s_min < s0 and a margin above delta at I*. So the maximum,
+    where it lies (ties broken in row-major order) and the certificate
+    equal those of a solve at every grid point, for any guess at most the
+    grid maximum; the corners are grid points, and at every default angle
+    one of them holds the maximum, so the screen leaves only a few points
+    to solve. A final margin scan at I* over the solved points and the
+    patches must find no margin below -VERIFY_TOL. Raises
+    ChannelFamilyError if 1 - T fails to vanish on the kernel of 1 - B or
+    the final scan fails, which indicates a broken channel family.
     """
     n_a, n_b = grid
     if n_a < 101 or n_b < 101:

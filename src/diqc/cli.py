@@ -17,8 +17,9 @@ Cutoff certificates are cached under ``--cache-dir`` (or the
 ``DIQC_CACHE_DIR`` environment variable, default ``~/.cache/diqc``), keyed
 by angle, inequality, grid, refinement depth and solver tag, so sweeps do
 not re-run the solver and a certificate written by another solver is never
-served. An entry that cannot be parsed is solved again and rewritten;
-entries are written atomically.
+served. An entry that cannot be parsed, or whose fields disagree with its
+key or whose slope and intercept do not follow from its cutoff, is solved
+again and rewritten; entries are written atomically.
 """
 
 from __future__ import annotations
@@ -151,19 +152,38 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _matches(cert: certify.LinearBoundCertificate, theta: float, family: str,
+             grid: tuple[int, int], refine: int) -> bool:
+    """Whether a cached certificate is the one its key asks for.
+
+    Its angle, family, grid and refinement depth equal the request, it
+    records the solver's tolerance and the warp its angle gives, and its
+    slope and intercept follow from its cutoff exactly.
+    """
+    return (cert.theta == theta and cert.family == family
+            and (cert.grid_a, cert.grid_b) == tuple(grid)
+            and cert.refine_levels == refine and cert.tol == certify.VERIFY_TOL
+            and 0.0 < cert.i_star < 1.0
+            and (cert.slope, cert.intercept) == certify.slope_and_intercept(theta, cert.i_star)
+            and cert.delta_variant == quantum.bob_warp(theta, family).variant)
+
+
 def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
                          refine: int, cache_dir: Path | None) -> certify.LinearBoundCertificate:
     """Fetch a cached cutoff certificate or run the solver and cache it.
 
-    A cache entry that is truncated or does not parse as a certificate is
-    solved again and overwritten.
+    A cache entry that is truncated, does not parse as a certificate or is
+    not the certificate its key asks for (see ``_matches``) is solved again
+    and overwritten.
     """
     path = None
     if cache_dir is not None:
         path = _cache_path(cache_dir, theta, family, grid, refine)
         if path.exists():
             try:
-                return cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
+                cert = cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
+                if _matches(cert, theta, family, grid, refine):
+                    return cert
             except (ValueError, KeyError, TypeError):
                 pass
     cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine)

@@ -296,6 +296,74 @@ def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
     assert 4 < sum(solved) <= 10
 
 
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_screen_planes_match_operator_stacks(theta, family):
+    # the lower triangle the screen builds from separable factors against
+    # twirled - s0 bops - shift from the stacks, at the corner guess's s0
+    ev = certify._MarginEvaluator(theta, family)
+    ends = np.array([0.0, np.pi / 2])
+    guess = certify._peak(ev.slopes, ends, ends)
+    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
+    shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
+    a = b = np.linspace(0.0, np.pi / 2, 201)
+    planes = certify._lower_stack(*ev.separable(s0, shift, a, b))
+    twirled, bops = ev.stacks(a, b)
+    expected = twirled - s0 * bops - shift * np.eye(4)
+    i, j = certify._LOWER
+    assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
+
+
+@pytest.mark.parametrize("theta, family, i_star, worst_margin", [
+    (0.05, "new", "0x1.fffffc7a681f1p-1", "0x0.0p+0"),
+    (0.3, "tilted", "0x1.fed5e75e8ac5ap-1", "0x1.0000000000000p-49"),
+    (0.6, "new", "0x1.d3a7071aa623ap-1", "0x1.0000000000000p-52"),
+    (np.pi / 4, "tilted", "0x1.7d31d5d690d19p-1", "-0x1.eb6be580531a8p-118"),
+])
+def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin):
+    cert = find_cutoff(theta, family)
+    assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
+
+
+@pytest.mark.parametrize("theta, family", [(0.05, "new"), (0.6, "tilted")])
+def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
+    # the screen works on separable planes; only the exact solves, the
+    # refinement patches and the final scan stack Bell operators
+    built = []
+    grid = bell.bell_operator_grid
+
+    def counting_grid(kind, a, b):
+        built.append(np.size(a) * np.size(b))
+        return grid(kind, a, b)
+
+    monkeypatch.setattr(bell, "bell_operator_grid", counting_grid)
+    find_cutoff(theta, family)
+    assert sum(built) <= 2500
+
+
+def test_each_refinement_patch_is_one_slopes_call(monkeypatch):
+    calls = []
+    in_patches = [False]
+    slopes, refine = certify._MarginEvaluator.slopes, certify._refine
+
+    def counting_slopes(self, a, b):
+        if in_patches[0]:
+            calls.append((len(a), len(b)))
+        return slopes(self, a, b)
+
+    def flagged_refine(*args, **kwargs):
+        in_patches[0] = True
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            in_patches[0] = False
+
+    monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
+    monkeypatch.setattr(certify, "_refine", flagged_refine)
+    find_cutoff(0.6, "new")
+    assert calls == [(17, 17)] * (2 * certify.DEFAULT_REFINE_LEVELS)
+
+
 def test_positive_definite_mask_matches_eigenvalues():
     # random symmetric stacks with lambda_min of either sign, between 1e-9
     # and 1 in magnitude, and the other eigenvalues up to 3

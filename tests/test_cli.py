@@ -254,6 +254,39 @@ def test_cache_entry_of_old_solver_is_not_read(cache_dir, capsys):
     assert cli._cache_path(cache_dir, theta, "new", (101, 101), 2) != stale
 
 
+def test_cache_entry_for_another_angle_is_solved_again(cache_dir, capsys):
+    # an entry for theta = 0.6 copied under the key of theta = 0.65
+    solve = ["cutoff", "--grid-n", "101", "--cache-dir", str(cache_dir)]
+    assert run(solve + ["--theta", "0.6"], capsys)[0] == 0
+    entry = _cached_file(cache_dir)
+    other = cli._cache_path(cache_dir, 0.65, "new", (101, 101), 2)
+    other.write_text(entry.read_text())
+    code, out, _ = run(solve + ["--theta", "0.65"], capsys)
+    assert code == 0
+    assert cli.parse_rows(out)[0]["theta"] == 0.65
+    assert cli.cutoff_from_row(json.loads(other.read_text())).theta == 0.65
+    code, _, _ = run(["certify", "--theta", "0.65", "--beta", "2.7", "--i0", "0.97",
+                      "--i1", "0.96", "--p0", "0.5", *solve[1:]], capsys)
+    assert code == 0
+
+
+def test_cache_entry_with_edited_cutoff_is_solved_again(tmp_path, cache_dir, capsys):
+    # i_star lowered to 0.5 while the slope and intercept stay those of the
+    # solved cutoff would certify a bound far above the honest one
+    args = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.97", "--i1", "0.96",
+            "--p0", "0.5", "--grid-n", "101"]
+    code, honest, _ = run(args + ["--cache-dir", str(tmp_path / "fresh")], capsys)
+    assert code == 0
+    assert run(args + ["--cache-dir", str(cache_dir)], capsys)[0] == 0
+    entry = _cached_file(cache_dir)
+    row = json.loads(entry.read_text())
+    entry.write_text(json.dumps({**row, "i_star": 0.5}))
+    code, out, _ = run(args + ["--cache-dir", str(cache_dir)], capsys)
+    assert code == 0
+    assert out == honest
+    assert json.loads(entry.read_text()) == row
+
+
 def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
     replaced = []
     real_replace = os.replace
