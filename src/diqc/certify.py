@@ -50,8 +50,11 @@ reasons:
   every point where 1 - T leaks into the kernel of 1 - B, is solved exactly.
 
 The certificate is therefore the one a full-grid solve gives for any guess
-at most the grid maximum; a poor guess only costs time. A final margin scan
-at I* over the solved points and the refinement patches confirms it.
+at most the grid maximum; a poor guess only costs time. Each refinement
+patch is screened the same way from the exact maximum over its sample
+{first, middle, last}^2, which is at most the patch maximum, so that
+maximum and where it lies (the next patch's centre) stay the same. A final
+margin scan at I* over the solved meshgrids alone confirms the certificate.
 
 The certificate is numerical: it reports the grid, the worst margin of the
 final scan and the angle pair where the bound binds, so callers can
@@ -94,6 +97,13 @@ _SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
 _KERNEL_RTOL = 1e-15
+# lifted products of (1, Alice's dephasing axes) with (1, Bob's): conjugating
+# the target by entry [i, j] gives the twirl's term for factors i and j
+_LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
+                                            quantum.SIGMA_Z.real)]
+                   for g in (np.eye(2), quantum.H_OBS.real, quantum.V_OBS.real)])
+# the pi rotation about x on both qubits, which maps the branch-1 test to branch 0
+_RR = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
 
 
 class NonQuantumValueError(ValueError):
@@ -253,24 +263,10 @@ class _MarginEvaluator:
         self.c2 = math.cos(theta) ** 2
         state = quantum.partial_entangled_state(theta, branch)
         self._proj = quantum.projector(state).real
-        gam = (quantum.H_OBS.real, quantum.V_OBS.real)
-        ome = (quantum.SIGMA_X.real, quantum.SIGMA_Z.real)
-        e2 = np.eye(2)
-        self._conj_a = np.array(
-            [np.kron(g, e2) @ self._proj @ np.kron(g, e2) for g in gam])
-        self._conj_b = np.array(
-            [np.kron(e2, o) @ self._proj @ np.kron(e2, o) for o in ome])
-        self._conj_ab = np.array(
-            [[np.kron(g, o) @ self._proj @ np.kron(g, o) for o in ome] for g in gam])
-        self._rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
         # the twirl is sum_ij x_i(a) y_j(b) twirl[i, j] with the factors
         # x = (wa, (1 - wa) [a <= pi/4], (1 - wa) [a > pi/4]) and y likewise
         # at b_ideal, which fold in the dephasing-axis selection of ``stacks``
-        self._twirl = np.empty((3, 3, 4, 4))
-        self._twirl[0, 0] = self._proj
-        self._twirl[0, 1:] = self._conj_b
-        self._twirl[1:, 0] = self._conj_a
-        self._twirl[1:, 1:] = self._conj_ab
+        self._twirl = np.array([[g @ self._proj @ g for g in row] for row in _LIFTS])
 
     def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channel-twirled projector stack and Bell stack on the meshgrid."""
@@ -278,11 +274,11 @@ class _MarginEvaluator:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         wa = np.atleast_1d(quantum.alice_dephasing_weight(a))
         wb = np.atleast_1d((1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0)
-        sel_a = (a > np.pi / 4).astype(int)
-        sel_b = (b > self.b_ideal).astype(int)
-        ca = self._conj_a[sel_a]
-        cb = self._conj_b[sel_b]
-        cab = self._conj_ab[sel_a[:, None], sel_b[None, :]]
+        sel_a = 1 + (a > np.pi / 4)
+        sel_b = 1 + (b > self.b_ideal)
+        ca = self._twirl[sel_a, 0]
+        cb = self._twirl[0, sel_b]
+        cab = self._twirl[sel_a[:, None], sel_b[None, :]]
         wa4 = wa[:, None, None, None]
         wb4 = wb[None, :, None, None]
         twirled = (wa4 * wb4 * self._proj
@@ -294,7 +290,7 @@ class _MarginEvaluator:
         else:
             # primed test: rotate the operator stack taken at pi/2 - a
             base = bell.bell_operator_grid(self.kind, np.pi / 2 - a, b)
-            bops = np.einsum("ij,abjk,lk->abil", self._rr, base, self._rr)
+            bops = np.einsum("ij,abjk,lk->abil", _RR, base, _RR)
         return twirled, bops
 
     def separable(self, s0: float, shift: float, a: np.ndarray,
@@ -389,14 +385,23 @@ def _peak(f, a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[float, float]]:
     return float(vals[idx]), (float(a[idx[0]]), float(b[idx[1]]))
 
 
-def _refine(f, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
+def _patch_axis(center: float, h: float) -> np.ndarray:
+    """_REFINE_POINTS angles across center +- h in [0, pi/2], less clipped copies."""
+    x = np.clip(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0, np.pi / 2)
+    # the axis ascends, so a copy is an angle equal to the one before it
+    return x[np.append(True, x[1:] > x[:-1])]
+
+
+def _refine(peak, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
             refine_levels: int,
             b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
-    """Raise the grid maximum ``best`` of f by local refinement patches.
+    """Raise the grid maximum ``best`` by local refinement patches.
 
-    Refines around the running best cell and around the ideal point, one
-    coarse cell wide, shrinking eightfold per level. Returns the patches
-    too, so a later scan can revisit the same points.
+    ``peak(a, b)`` gives the maximum over the meshgrid of a and b, where it
+    is, and the meshgrids it solved to find it. Refines around the running
+    best cell and around the ideal point, one coarse cell wide, shrinking
+    eightfold per level. Returns the solved meshgrids too, so a later scan
+    can revisit the same points.
     """
     h_a = (np.pi / 2) / (n_a - 1)
     h_b = (np.pi / 2) / (n_b - 1)
@@ -405,10 +410,8 @@ def _refine(f, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
     for _ in range(refine_levels):
         next_centers = []
         for ca, cb in centers:
-            fa = np.clip(np.linspace(ca - h_a, ca + h_a, _REFINE_POINTS), 0.0, np.pi / 2)
-            fb = np.clip(np.linspace(cb - h_b, cb + h_b, _REFINE_POINTS), 0.0, np.pi / 2)
-            patches.append((fa, fb))
-            value, at = _peak(f, fa, fb)
+            value, at, solved = peak(_patch_axis(ca, h_a), _patch_axis(cb, h_b))
+            patches += solved
             if value > best:
                 best, best_at = value, at
             next_centers.append(at)
@@ -421,8 +424,11 @@ def _refine(f, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
 def _search(f, n_a: int, n_b: int, refine_levels: int,
             b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
     """Largest value of f over the full grid plus local refinement patches."""
+    def peak(a: np.ndarray, b: np.ndarray):
+        return *_peak(f, a, b), [(a, b)]
+
     best, best_at = _peak(f, _grid(n_a), _grid(n_b))
-    return _refine(f, best, best_at, n_a, n_b, refine_levels, b_ideal)
+    return _refine(peak, best, best_at, n_a, n_b, refine_levels, b_ideal)
 
 
 def _positive_definite(m: np.ndarray) -> np.ndarray:
@@ -481,40 +487,45 @@ def _screened_peak(ev: _MarginEvaluator, a: np.ndarray, b: np.ndarray,
     ``guess`` is a slope, at most the true maximum, and where it was found.
     Take the cutoff I0 that it gives, with slope s0 and intercept mu0. A
     point whose operator T - s0 B - (mu0 + delta) is positive definite has
-    s_min below s0 and cannot hold the maximum. The pencil is solved at
-    every other point, one grid row at a time in row-major order, so ties
-    break as np.argmax over the full grid does. Returns the maximum, where
-    it is, and the solved points as (one-element a, b) meshgrids.
+    s_min below s0 and cannot hold the maximum. The pencil is solved on the
+    rows and columns that hold every other point, as one meshgrid in the
+    order of a and b, so ties break as np.argmax over the full grid does.
+    Returns the maximum, where it is, and the solved meshgrid in a list.
+    Raises ChannelFamilyError if the screen clears every point, which only
+    a guess above the maximum can cause.
     """
     s0, mu0 = slope_and_intercept(ev.theta, _cutoff(ev, *guess))
     x, c, y = ev.separable(s0, mu0 + _SCREEN_RTOL * (1.0 + s0), a, b)
     rows = _rows(len(b))
-    points = []
-    for i in range(0, len(a), rows):
-        fails = ~_positive_definite(_lower_stack(x[i:i + rows], c, y))
-        points += [(a[i + r:i + r + 1], b[fails[r]])
-                   for r in np.flatnonzero(fails.any(axis=1))]
-    best, best_at = -np.inf, guess[1]
-    for pa, pb in points:
-        vals = ev.slopes(pa, pb)[0]
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, best_at = float(vals[j]), (float(pa[0]), float(pb[j]))
-    return best, best_at, points
+    fails = np.concatenate([~_positive_definite(_lower_stack(x[i:i + rows], c, y))
+                            for i in range(0, len(a), rows)])
+    if not fails.any():
+        raise ChannelFamilyError(
+            f"guess {guess[0]:.6g} exceeds the maximum slope: the screen clears all "
+            f"{len(a)}x{len(b)} points for {ev.kind.family} at theta={ev.theta}")
+    solved = (a[fails.any(axis=1)], b[fails.any(axis=0)])
+    return *_peak(ev.slopes, *solved), [solved]
 
 
 def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels: int,
                      guess: Peak) -> LinearBoundCertificate:
     """Certificate of ``find_cutoff`` from a slope guess at most the grid maximum."""
     n_a, n_b = grid
-    s_grid, at, points = _screened_peak(ev, _grid(n_a), _grid(n_b), guess)
-    s_max, (bind_a, bind_b), patches = _refine(ev.slopes, s_grid, at, n_a, n_b,
+
+    def patch_peak(a: np.ndarray, b: np.ndarray):
+        # the exact maximum over the patch's {first, middle, last}^2 is a
+        # guess at most the patch maximum
+        i, j = [0, len(a) // 2, -1], [0, len(b) // 2, -1]
+        return _screened_peak(ev, a, b, _peak(ev.slopes, a[i], b[j]))
+
+    s_grid, at, solved = _screened_peak(ev, _grid(n_a), _grid(n_b), guess)
+    s_max, (bind_a, bind_b), patches = _refine(patch_peak, s_grid, at, n_a, n_b,
                                                refine_levels, ev.b_ideal)
     i_star = _cutoff(ev, s_max, (bind_a, bind_b))
     # every screened-out point keeps a margin above delta at I*, so the
-    # solved points and the patches hold the worst one
+    # solved meshgrids hold the worst one
     neg, (wa, wb) = max((_peak(lambda a, b: -ev.margins(i_star, a, b), pa, pb)
-                         for pa, pb in [*points, *patches]), key=lambda peak: peak[0])
+                         for pa, pb in [*solved, *patches]), key=lambda peak: peak[0])
     if -neg < -VERIFY_TOL:
         raise ChannelFamilyError(
             f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
@@ -550,8 +561,11 @@ def find_cutoff(theta: float, family: str = "new",
     equal those of a solve at every grid point, for any guess at most the
     grid maximum; the corners are grid points, and at every default angle
     one of them holds the maximum, so the screen leaves only a few points
-    to solve. A final margin scan at I* over the solved points and the
-    patches must find no margin below -VERIFY_TOL. Raises
+    to solve. Each refinement patch, with no angle repeated on its axes, is
+    screened likewise from the exact maximum over its 3x3 sample of first,
+    middle and last angles, at most the patch maximum. A final margin scan
+    at I* over the solved meshgrids must find no margin below -VERIFY_TOL.
+    Raises
     ChannelFamilyError if 1 - T fails to vanish on the kernel of 1 - B or
     the final scan fails, which indicates a broken channel family.
     """

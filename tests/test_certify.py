@@ -256,6 +256,11 @@ def test_screened_cutoff_equals_full_grid_solve_unrefined():
             == _full_grid_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0))
 
 
+def test_screened_cutoff_equals_full_grid_solve_deeply_refined():
+    assert (find_cutoff(0.5, "new", grid=(101, 101), refine_levels=3)
+            == _full_grid_cutoff(0.5, "new", grid=(101, 101), refine_levels=3))
+
+
 @pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
 def test_low_slope_guess_recovers_grid_maximum(theta, family):
     ev = certify._MarginEvaluator(theta, family)
@@ -296,6 +301,16 @@ def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
     assert 4 < sum(solved) <= 10
 
 
+def test_screen_clearing_every_point_names_its_input():
+    # only a guess above the maximum can clear every point of a meshgrid
+    ev = certify._MarginEvaluator(0.6, "tilted")
+    a, b = np.linspace(0.0, 0.2, 9), np.linspace(1.3, np.pi / 2, 9)
+    s, at = certify._peak(ev.slopes, a, b)
+    assert certify._screened_peak(ev, a, b, (0.5 * s, at))[:2] == (s, at)
+    with pytest.raises(ChannelFamilyError, match=r"9x9 points.*tilted at theta=0\.6"):
+        certify._screened_peak(ev, a, b, (1.5 * s, at))
+
+
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screen_planes_match_operator_stacks(theta, family):
@@ -325,6 +340,18 @@ def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
 
 
+@pytest.mark.parametrize("theta, family, grid, refine_levels, i_star, worst_margin", [
+    (0.08, "tilted", (151, 151), 3, "0x1.ffffe0767add0p-1", "0x1.b200000000000p-40"),
+    (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "0x1.8000000000000p-47"),
+    (0.5, "new", (101, 131), 1, "0x1.ec607b7553942p-1", "0x1.0000000000000p-51"),
+    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebep-1", "-0x1.a12ce42e03cf9p-52"),
+])
+def test_nondefault_certificates_are_bit_stable(theta, family, grid, refine_levels,
+                                                i_star, worst_margin):
+    cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
+    assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
+
+
 @pytest.mark.parametrize("theta, family", [(0.05, "new"), (0.6, "tilted")])
 def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
     # the screen works on separable planes; only the exact solves, the
@@ -338,30 +365,40 @@ def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
 
     monkeypatch.setattr(bell, "bell_operator_grid", counting_grid)
     find_cutoff(theta, family)
-    assert sum(built) <= 2500
+    assert sum(built) <= 200
 
 
-def test_each_refinement_patch_is_one_slopes_call(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
+def test_refinement_solves_few_points(theta, family, monkeypatch):
+    # each patch is screened from a 3x3 sample of its own points, so the
+    # pencil is solved at the sample and at the few points the screen cannot
+    # clear; clipping at the edges of [0, pi/2] leaves no repeated angle
+    solved, axes = [], []
     in_patches = [False]
     slopes, refine = certify._MarginEvaluator.slopes, certify._refine
 
     def counting_slopes(self, a, b):
         if in_patches[0]:
-            calls.append((len(a), len(b)))
+            solved.append(len(a) * len(b))
         return slopes(self, a, b)
 
-    def flagged_refine(*args, **kwargs):
+    def flagged_refine(peak, *args):
+        def recording_peak(a, b):
+            axes.extend([a, b])
+            return peak(a, b)
+
         in_patches[0] = True
         try:
-            return refine(*args, **kwargs)
+            return refine(recording_peak, *args)
         finally:
             in_patches[0] = False
 
     monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
     monkeypatch.setattr(certify, "_refine", flagged_refine)
-    find_cutoff(0.6, "new")
-    assert calls == [(17, 17)] * (2 * certify.DEFAULT_REFINE_LEVELS)
+    find_cutoff(theta, family)
+    assert len(axes) == 2 * 2 * certify.DEFAULT_REFINE_LEVELS
+    assert all(np.all(np.diff(x) > 0) for x in axes)
+    assert sum(solved) <= 80
 
 
 def test_positive_definite_mask_matches_eigenvalues():
