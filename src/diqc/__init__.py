@@ -7,76 +7,43 @@ that interpolates between a projective measurement and the identity:
 * ``matrixcore``: dense complex linear algebra (fidelities, spectra).
 * ``quantum``: states, observables, instruments, extraction channels.
 * ``bell``: the Bell expressions, their operators and local bounds.
-* ``certify``: self-testing cutoffs and the fidelity pipeline.
+* ``pipeline``: the scalar layer, with angle checks, local bounds, cutoff
+  records and the fidelity pipeline, in the standard library alone.
+* ``certify``: self-testing cutoffs.
 * ``experiment``: exact noisy simulation and soundness oracle.
 * ``cli``: the ``diqc`` command.
+
+The names below resolve on first use, so ``import diqc`` loads no numpy;
+each is the object of the same name in its module.
 """
 
-from .matrixcore import (
-    EigenResult,
-    block_fidelity,
-    hermitian_eig,
-    kron,
-    psd_sqrt,
-    uhlmann_fidelity,
-)
-from .quantum import (
-    DegenerateInstrumentError,
-    DephasingChannel,
-    DomainError,
-    KrausInstrument,
-    RegisterState,
-    apply_instrument,
-    apply_one_sided,
-    bob_ideal_angle,
-    dephasing_alice,
-    dephasing_bob,
-    ideal_settings,
-    instrument_choi,
-    partial_entangled_state,
-    partial_trace,
-    phi_plus,
-    reference_instrument,
-)
-from .bell import (
-    BellKind,
-    CorrelatorTable,
-    brute_force_local_bound,
-    chsh_value,
-    correlators_from_state,
-    local_bound_new,
-    new_bell_operator,
-    new_bell_value,
-    relabel_branch1,
-    tilted_bell_value,
-    tilted_local_bound,
-    tilted_operator,
-)
-from .certify import (
-    BETA_STAR,
-    ChannelFamilyError,
-    FidelityCertificate,
-    LinearBoundCertificate,
-    NonQuantumValueError,
-    SymmetryViolationError,
-    certify_instrument,
-    combine_branches,
-    find_cutoff,
-    input_fidelity_bound,
-    instrument_fidelity_bound,
-    operator_margin,
-    output_fidelity_bound,
-    verify_branch1,
-)
-from .experiment import (
-    NoiseModel,
-    RunStatistics,
-    cheating_run,
-    end_to_end,
-    noisy_instrument,
-    noisy_source,
-    oracle_choi_fidelity,
-    simulate_run,
-)
+import importlib
+
+_EXPORTS = {
+    "matrixcore": "EigenResult block_fidelity hermitian_eig kron psd_sqrt uhlmann_fidelity",
+    "pipeline": "BETA_STAR ChannelFamilyError DomainError FidelityCertificate "
+                "LinearBoundCertificate NonQuantumValueError bob_ideal_angle "
+                "certify_instrument combine_branches input_fidelity_bound "
+                "instrument_fidelity_bound local_bound_new output_fidelity_bound "
+                "tilted_local_bound",
+    "quantum": "DegenerateInstrumentError DephasingChannel KrausInstrument RegisterState "
+               "apply_instrument apply_one_sided dephasing_alice dephasing_bob "
+               "ideal_settings instrument_choi partial_entangled_state partial_trace "
+               "phi_plus reference_instrument",
+    "bell": "BellKind CorrelatorTable brute_force_local_bound chsh_value "
+            "correlators_from_state new_bell_operator new_bell_value relabel_branch1 "
+            "tilted_bell_value tilted_operator",
+    "certify": "SymmetryViolationError find_cutoff operator_margin verify_branch1",
+    "experiment": "NoiseModel RunStatistics cheating_run end_to_end noisy_instrument "
+                  "noisy_source oracle_choi_fidelity simulate_run",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -23,17 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixcore import as_matrix, kron
-from .quantum import (
-    DomainError,
-    IDENTITY_2,
-    ROT_X_PI,
-    SIGMA_X,
-    SIGMA_Z,
-    alice_observable,
-    bob_ideal_angle,
-    bob_observable,
-    check_theta,
-)
+# the scalar layer; its local bounds and tilt parameter are re-exported here
+from .pipeline import (  # noqa: F401
+    DomainError, bob_ideal_angle, check_theta, local_bound_new, tilted_alpha,
+    tilted_local_bound)
+from .quantum import IDENTITY_2, ROT_X_PI, SIGMA_X, SIGMA_Z, alice_observable, bob_observable
 
 
 @dataclass(frozen=True)
@@ -134,15 +128,6 @@ def new_bell_value(t: CorrelatorTable, theta: float) -> float:
                                  + (t.marginal_b[0] - t.marginal_b[1]) / (2 * sb))))
 
 
-def tilted_alpha(theta: float) -> float:
-    """Tilt parameter 2/sqrt(1 + 2 tan^2(2 theta)); zero at theta = pi/4."""
-    theta = check_theta(theta)
-    if abs(theta - np.pi / 4) < 1e-12:
-        return 0.0
-    tan2 = np.tan(2 * theta)
-    return float(2.0 / np.sqrt(1.0 + 2.0 * tan2 * tan2))
-
-
 def tilted_bell_value(t: CorrelatorTable, theta: float) -> float:
     """Normalized tilted-CHSH value, quantum maximum one.
 
@@ -191,32 +176,6 @@ def tilted_operator(theta: float, a: float, b: float) -> np.ndarray:
           + kron(a0, b0 - b1)
           + kron(a1, b0 + b1))
     return op / np.sqrt(8.0 + 2.0 * alpha * alpha)
-
-
-def bell_operator(kind: BellKind, a: float, b: float) -> np.ndarray:
-    """4x4 Bell operator of any angle-carrying expression."""
-    if kind.family == "new":
-        return new_bell_operator(kind.theta, a, b)
-    if kind.family == "tilted":
-        return tilted_operator(kind.theta, a, b)
-    raise DomainError("chsh has no single-parameter operator form here")
-
-
-def local_bound_new(theta: float) -> float:
-    """Closed-form local bound of the symmetric expression.
-
-    (1/4) [ c2 + (2 + c2) sqrt((7 - c4)/(5 + c4)) ] with c2 = cos(2 theta),
-    c4 = cos(4 theta); attained by the strategy A0 = A1 = B0 = 1, B1 = -1.
-    """
-    theta = check_theta(theta)
-    c2, c4 = np.cos(2 * theta), np.cos(4 * theta)
-    return float(0.25 * (c2 + (2.0 + c2) * np.sqrt((7.0 - c4) / (5.0 + c4))))
-
-
-def tilted_local_bound(theta: float) -> float:
-    """Closed-form local bound (2 + alpha)/sqrt(8 + 2 alpha^2)."""
-    alpha = tilted_alpha(theta)
-    return float((2.0 + alpha) / np.sqrt(8.0 + 2.0 * alpha * alpha))
 
 
 def local_bound(kind: BellKind) -> float:

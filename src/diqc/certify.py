@@ -1,4 +1,4 @@
-"""Certification core: self-testing cutoffs and the fidelity pipeline.
+"""Certification core: self-testing cutoffs (the fidelity pipeline is ``pipeline``).
 
 The central object is the linear overlap bound
 
@@ -64,24 +64,19 @@ re-verify at higher resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell, quantum
 from .bell import BellKind
-from .quantum import DomainError
+# the scalar layer, re-exported here
+from .pipeline import (  # noqa: F401
+    BETA_STAR, CHSH_QUANTUM_BOUND, DEFAULT_GRID, DEFAULT_REFINE_LEVELS, SOLVER_TAG,
+    TRIVIAL_INPUT_FIDELITY, VERIFY_TOL, ChannelFamilyError, DomainError,
+    FidelityCertificate, LinearBoundCertificate, NonQuantumValueError, certify_instrument,
+    combine_branches, input_fidelity_bound, instrument_fidelity_bound,
+    output_fidelity_bound, raw_pipeline_bound, slope_and_intercept)
 
-BETA_STAR = 2.0 * (8.0 + 7.0 * math.sqrt(2.0)) / 17.0
-CHSH_QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
-TRIVIAL_INPUT_FIDELITY = 1.0 / math.sqrt(2.0)
-
-DEFAULT_GRID = (201, 201)
-DEFAULT_REFINE_LEVELS = 2
-VERIFY_TOL = 1e-9
-# names the solver in the CLI cache key; change it whenever a solver change
-# changes the certificates, so cached ones from the old solver are not served
-SOLVER_TAG = "pencil1"
 _REFINE_POINTS = 17
 # matrices per batched eigensolve or screen call, 16 rows of the default
 # grid: bounds the temporary stacks, and a refinement patch fits in one call
@@ -106,138 +101,12 @@ _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
 _RR = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
 
 
-class NonQuantumValueError(ValueError):
-    """An observed violation exceeds the quantum bound beyond tolerance."""
-
-
-class ChannelFamilyError(RuntimeError):
-    """No cutoff below one exists for this extraction-channel family."""
-
-
 class SymmetryViolationError(RuntimeError):
     """Branch-1 verification failed far beyond tolerance (implementation bug)."""
 
 
 # ---------------------------------------------------------------------------
-# fidelity bounds
-
-
-def input_fidelity_bound(beta: float, floor: bool = True) -> float:
-    """Fidelity of the source state with phi+ certified by a CHSH value.
-
-    sqrt(1/2 + (beta - beta*) / (2 (2 sqrt 2 - beta*))) with
-    beta* = 2 (8 + 7 sqrt 2)/17 ~ 2.106. With ``floor`` the result is
-    clamped below by 1/sqrt(2), the fidelity achievable with no violation
-    at all; without it the raw value (down to 0) is returned.
-    """
-    beta = float(beta)
-    if beta > CHSH_QUANTUM_BOUND + 1e-6:
-        raise NonQuantumValueError(f"beta={beta!r} exceeds 2*sqrt(2)")
-    if beta < -4.0 - 1e-9:
-        raise DomainError(f"beta={beta!r} below -4")
-    beta = min(beta, CHSH_QUANTUM_BOUND)
-    inner = 0.5 + 0.5 * (beta - BETA_STAR) / (CHSH_QUANTUM_BOUND - BETA_STAR)
-    value = math.sqrt(max(inner, 0.0))
-    if floor:
-        value = max(value, TRIVIAL_INPUT_FIDELITY)
-    return min(value, 1.0)
-
-
-def output_fidelity_bound(i: float, theta: float, i_star: float,
-                          floor: bool = True) -> float:
-    """Fidelity of one post-measurement branch certified by its violation.
-
-    sqrt(cos^2 theta + (1 - cos^2 theta)(i - i*)/(1 - i*)). With ``floor``
-    the result is clamped below by cos(theta), the largest Schmidt
-    coefficient of the branch target.
-    """
-    i = float(i)
-    if i > 1.0 + 1e-6:
-        raise NonQuantumValueError(f"violation {i!r} exceeds the quantum bound 1")
-    if not 0.0 < i_star < 1.0:
-        raise DomainError(f"i_star={i_star!r} outside (0, 1)")
-    i = min(i, 1.0)
-    c2 = math.cos(theta) ** 2
-    inner = c2 + (1.0 - c2) * (i - i_star) / (1.0 - i_star)
-    value = math.sqrt(max(inner, 0.0))
-    if floor:
-        value = max(value, math.cos(theta))
-    return min(value, 1.0)
-
-
-def combine_branches(p0: float, f0: float, f1: float) -> float:
-    """Combine branch fidelities into one register-state fidelity.
-
-    sqrt(p0/2) f0 + sqrt((1 - p0)/2) f1; the reference assigns each outcome
-    probability one half, hence the halved weights.
-    """
-    p0 = float(p0)
-    if not -1e-12 <= p0 <= 1.0 + 1e-12:
-        raise DomainError(f"p0={p0!r} outside [0, 1]")
-    for name, f in (("f0", f0), ("f1", f1)):
-        if not -1e-12 <= f <= 1.0 + 1e-9:
-            raise DomainError(f"{name}={f!r} outside [0, 1]")
-    p0 = min(max(p0, 0.0), 1.0)
-    return math.sqrt(p0 / 2.0) * f0 + math.sqrt((1.0 - p0) / 2.0) * f1
-
-
-def instrument_fidelity_bound(f_in: float, f_out: float) -> float:
-    """Compose input and output state fidelities into an instrument bound.
-
-    cos(arccos f_in + arccos f_out), clamped to zero once the angle sum
-    passes pi/2; fidelities compose this way because they cannot decrease
-    under trace-preserving maps and obey the arccos triangle inequality.
-    """
-    for name, f in (("f_in", f_in), ("f_out", f_out)):
-        if not -1e-9 <= f <= 1.0 + 1e-9:
-            raise DomainError(f"{name}={f!r} outside [0, 1]")
-    angle = math.acos(min(max(f_in, 0.0), 1.0)) + math.acos(min(max(f_out, 0.0), 1.0))
-    if angle >= math.pi / 2:
-        return 0.0
-    return math.cos(angle)
-
-
-def slope_and_intercept(theta: float, i_star: float) -> tuple[float, float]:
-    """Line through (I*, cos^2 theta) and (1, 1) in the (violation, overlap) plane."""
-    c2 = math.cos(theta) ** 2
-    s = (1.0 - c2) / (1.0 - i_star)
-    mu = (c2 - i_star) / (1.0 - i_star)
-    return s, mu
-
-
-# ---------------------------------------------------------------------------
 # operator-inequality verification
-
-
-@dataclass(frozen=True)
-class LinearBoundCertificate:
-    """Accepted linear overlap bound for one inequality and angle.
-
-    Records the full verification metadata: grid resolution, refinement
-    depth, the verification tolerance, the worst margin of the final scan,
-    the binding angle pair (where the bound is tight, so I* cannot be
-    lowered; reported as ``worst_a``, ``worst_b``), and which
-    reparametrization of Bob's extraction channel was in force (derived from
-    the angle, see ``quantum.AngleWarp``).
-    """
-
-    theta: float
-    family: str
-    i_star: float
-    slope: float
-    intercept: float
-    grid_a: int
-    grid_b: int
-    refine_levels: int
-    tol: float
-    worst_margin: float
-    worst_a: float
-    worst_b: float
-    delta_variant: str
-
-    @property
-    def kind(self) -> BellKind:
-        return BellKind(self.family, self.theta)
 
 
 def _kind(theta: float, family: str) -> BellKind:
@@ -604,62 +473,3 @@ def verify_branch1(cert: LinearBoundCertificate,
         raise SymmetryViolationError(
             f"branch-1 margin {-neg:.3e} violates the mirror symmetry")
     return -neg
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-
-@dataclass(frozen=True)
-class FidelityCertificate:
-    """Composed instrument-fidelity lower bound and its ingredients."""
-
-    beta: float
-    i0: float
-    i1: float
-    p0: float
-    f_in: float
-    f_out0: float
-    f_out1: float
-    f_out: float
-    bound: float
-
-
-def _pipeline(beta: float, i0: float, i1: float, p0: float, theta: float,
-              cert: LinearBoundCertificate, floor: bool) -> FidelityCertificate:
-    if abs(cert.theta - theta) > 1e-9:
-        raise DomainError(
-            f"certificate is for theta={cert.theta}, asked to certify theta={theta}")
-    f_in = input_fidelity_bound(beta, floor)
-    f0 = output_fidelity_bound(i0, theta, cert.i_star, floor)
-    f1 = output_fidelity_bound(i1, theta, cert.i_star, floor)
-    f_out = combine_branches(p0, f0, f1)
-    bound = instrument_fidelity_bound(f_in, min(f_out, 1.0))
-    return FidelityCertificate(beta=float(beta), i0=float(i0), i1=float(i1),
-                               p0=float(p0), f_in=f_in, f_out0=f0, f_out1=f1,
-                               f_out=f_out, bound=bound)
-
-
-def certify_instrument(beta: float, i0: float, i1: float, p0: float,
-                       theta: float, cert: LinearBoundCertificate) -> FidelityCertificate:
-    """Full certification pipeline from observed statistics.
-
-    The input fidelity comes from the CHSH value, each branch fidelity from
-    its violation through the certificate's cutoff (one cutoff serves both
-    branches by the mirror symmetry), the branches combine with square-root
-    probability weights, and input and output compose through the arccos
-    triangle inequality. The certificate must be for ``theta``.
-    """
-    return _pipeline(beta, i0, i1, p0, theta, cert, floor=True)
-
-
-def raw_pipeline_bound(beta: float, i: float, theta: float,
-                       cert: LinearBoundCertificate, p0: float = 0.5) -> FidelityCertificate:
-    """Pipeline without the trivial-fidelity floors, for surface sweeps.
-
-    Both branches are assumed to reach the same violation. Dropping the
-    floors lets the surface reach the zero clamp in the low-violation
-    corner instead of saturating at the floor composition. The certificate
-    must be for ``theta``.
-    """
-    return _pipeline(beta, i, i, p0, theta, cert, floor=False)

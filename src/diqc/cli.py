@@ -11,15 +11,22 @@ Commands
 Output goes to stdout or ``--out``, as CSV (default) or JSON. Reals are
 written with 17 significant digits so every serialized certificate
 re-parses to the exact same value. Exit codes: 0 success, 1 usage error,
-2 domain or infeasibility error.
+2 domain or infeasibility error, or an ``--out`` file that cannot be
+written (the message names its path).
 
 Cutoff certificates are cached under ``--cache-dir`` (or the
 ``DIQC_CACHE_DIR`` environment variable, default ``~/.cache/diqc``), keyed
 by angle, inequality, grid, refinement depth and solver tag, so sweeps do
 not re-run the solver and a certificate written by another solver is never
-served. An entry that cannot be parsed, or whose fields disagree with its
-key or whose slope and intercept do not follow from its cutoff, is solved
-again and rewritten; entries are written atomically.
+served. An entry that cannot be read or parsed, or whose fields disagree
+with its key or whose slope and intercept do not follow from its cutoff,
+is solved again and rewritten; entries are written atomically. An entry
+that cannot be written costs a warning on stderr, never the result.
+
+This module imports only the scalar layer, ``pipeline``, at start-up. The
+solver is imported on a cache miss and the simulator by ``simulate``, and
+only they load numpy: ``cutoff``, ``certify`` and ``sweep-fig5`` served
+from the cache run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -31,17 +38,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+from . import pipeline
 
-from . import bell, certify, experiment, quantum
-
-FIG5_THETA = (2.0 * np.pi + 7.0) / 22.0
+FIG5_THETA = (2.0 * math.pi + 7.0) / 22.0
 
 FIG4_HEADER = ["theta", "inequality", "i_star", "slope", "intercept",
                "worst_margin", "grid_n", "delta_variant"]
@@ -77,39 +83,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _positive_grid(text: str) -> int:
-    n = int(text)
-    if n < 101:
-        raise argparse.ArgumentTypeError(f"grid must be at least 101, got {n}")
-    return n
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from start to stop, bit for bit as ``np.linspace``."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _nonnegative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
-    return n
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("DIQC_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "diqc"
+def _at_least(lo: int, what: str = ""):
+    """argparse type of the integers from ``lo`` up."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{what}must be at least {lo}, got {n}")
+        return n
+    return integer
 
 
 # ---------------------------------------------------------------------------
 # certificate (de)serialization and caching
 
 
-def cutoff_to_row(cert: certify.LinearBoundCertificate) -> dict:
+def cutoff_to_row(cert: pipeline.LinearBoundCertificate) -> dict:
     return {
         "theta": cert.theta, "inequality": cert.family, "i_star": cert.i_star,
         "slope": cert.slope, "intercept": cert.intercept,
@@ -120,8 +116,8 @@ def cutoff_to_row(cert: certify.LinearBoundCertificate) -> dict:
     }
 
 
-def cutoff_from_row(row: dict) -> certify.LinearBoundCertificate:
-    return certify.LinearBoundCertificate(
+def cutoff_from_row(row: dict) -> pipeline.LinearBoundCertificate:
+    return pipeline.LinearBoundCertificate(
         theta=float(row["theta"]), family=str(row["inequality"]),
         i_star=float(row["i_star"]), slope=float(row["slope"]),
         intercept=float(row["intercept"]), grid_a=int(row["grid_a"]),
@@ -133,7 +129,7 @@ def cutoff_from_row(row: dict) -> certify.LinearBoundCertificate:
 
 def _cache_path(cache_dir: Path, theta: float, family: str, grid: tuple[int, int],
                 refine: int) -> Path:
-    key = f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{certify.SOLVER_TAG}"
+    key = f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{pipeline.SOLVER_TAG}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cutoff-{family}-{digest}.json"
 
@@ -152,7 +148,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _matches(cert: certify.LinearBoundCertificate, theta: float, family: str,
+def _matches(cert: pipeline.LinearBoundCertificate, theta: float, family: str,
              grid: tuple[int, int], refine: int) -> bool:
     """Whether a cached certificate is the one its key asks for.
 
@@ -162,33 +158,41 @@ def _matches(cert: certify.LinearBoundCertificate, theta: float, family: str,
     """
     return (cert.theta == theta and cert.family == family
             and (cert.grid_a, cert.grid_b) == tuple(grid)
-            and cert.refine_levels == refine and cert.tol == certify.VERIFY_TOL
+            and cert.refine_levels == refine and cert.tol == pipeline.VERIFY_TOL
             and 0.0 < cert.i_star < 1.0
-            and (cert.slope, cert.intercept) == certify.slope_and_intercept(theta, cert.i_star)
-            and cert.delta_variant == quantum.bob_warp(theta, family).variant)
+            and (cert.slope, cert.intercept) == pipeline.slope_and_intercept(theta, cert.i_star)
+            and cert.delta_variant == pipeline.warp_variant(
+                pipeline.bob_ideal_angle(theta, family)))
 
 
 def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
-                         refine: int, cache_dir: Path | None) -> certify.LinearBoundCertificate:
+                         refine: int, cache_dir: Path | None) -> pipeline.LinearBoundCertificate:
     """Fetch a cached cutoff certificate or run the solver and cache it.
 
-    A cache entry that is truncated, does not parse as a certificate or is
-    not the certificate its key asks for (see ``_matches``) is solved again
-    and overwritten.
+    A cache entry that cannot be read, is truncated, does not parse as a
+    certificate or is not the certificate its key asks for (see
+    ``_matches``) is solved again and overwritten. If the entry cannot be
+    written, a warning naming its path goes to stderr and the solved
+    certificate is returned all the same.
     """
     path = None
     if cache_dir is not None:
         path = _cache_path(cache_dir, theta, family, grid, refine)
-        if path.exists():
-            try:
-                cert = cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
-                if _matches(cert, theta, family, grid, refine):
-                    return cert
-            except (ValueError, KeyError, TypeError):
-                pass
+        try:
+            cert = cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
+            if _matches(cert, theta, family, grid, refine):
+                return cert
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+    # the solver loads numpy, which a cache hit never needs
+    from . import certify
+
     cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine)
     if path is not None:
-        _write_atomic(path, json.dumps(cutoff_to_row(cert)))
+        try:
+            _write_atomic(path, json.dumps(cutoff_to_row(cert)))
+        except OSError as exc:
+            print(f"warning: cannot write cache entry {path}: {exc}", file=sys.stderr)
     return cert
 
 
@@ -203,7 +207,10 @@ def emit_rows(header: list[str], rows: list[dict], fmt: str, out_path: str | Non
             writer.writerow([_fmt(row[col]) for col in header])
         text = buf.getvalue()
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OSError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -238,10 +245,10 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inequality", choices=("new", "tilted"), default="new")
-    p.add_argument("--grid-n", type=_positive_grid, default=201,
+    p.add_argument("--grid-n", type=_at_least(101, "grid "), default=201,
                    help="angle grid points per axis (minimum 101)")
-    p.add_argument("--refine", type=_nonnegative_int,
-                   default=certify.DEFAULT_REFINE_LEVELS,
+    p.add_argument("--refine", type=_at_least(0),
+                   default=pipeline.DEFAULT_REFINE_LEVELS,
                    help="local refinement passes (at least 0)")
 
 
@@ -275,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig4", help="cutoff versus instrument angle, both tests")
-    p.add_argument("--theta-min", type=float, default=quantum.THETA_RANGE[0])
-    p.add_argument("--theta-max", type=float, default=quantum.THETA_RANGE[1])
-    p.add_argument("--points", type=_positive_int, default=25)
+    p.add_argument("--theta-min", type=float, default=pipeline.THETA_RANGE[0])
+    p.add_argument("--theta-max", type=float, default=pipeline.THETA_RANGE[1])
+    p.add_argument("--points", type=_at_least(1), default=25)
     _add_solver_args(p)
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig5", help="certified fidelity surface over violations")
     p.add_argument("--theta", type=float, default=FIG5_THETA)
-    p.add_argument("--points", type=_positive_int, default=50)
+    p.add_argument("--points", type=_at_least(1), default=50)
     _add_solver_args(p)
     _add_io_args(p)
 
@@ -293,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cache_dir_of(args) -> Path | None:
     if args.no_cache:
         return None
-    return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    chosen = args.cache_dir or os.environ.get("DIQC_CACHE_DIR")
+    return Path(chosen) if chosen else Path.home() / ".cache" / "diqc"
 
 
-def _solve(args, theta: float, family: str) -> certify.LinearBoundCertificate:
+def _solve(args, theta: float, family: str) -> pipeline.LinearBoundCertificate:
     return load_or_solve_cutoff(theta, family, (args.grid_n, args.grid_n),
                                 args.refine, _cache_dir_of(args))
 
@@ -309,13 +317,15 @@ def cmd_cutoff(args) -> int:
 
 def cmd_certify(args) -> int:
     cert = _solve(args, args.theta, args.inequality)
-    fc = certify.certify_instrument(args.beta, args.i0, args.i1, args.p0,
-                                    args.theta, cert)
+    fc = pipeline.certify_instrument(args.beta, args.i0, args.i1, args.p0,
+                                     args.theta, cert)
     emit_rows(CERTIFY_HEADER, [dataclasses.asdict(fc)], args.format, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from . import experiment
+
     noise = experiment.NoiseModel(
         visibility=args.visibility, alice_angle_offset=args.alice_offset,
         bob_angle_offset=args.bob_offset, instrument_theta=args.instrument_theta,
@@ -329,11 +339,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep_fig4(args) -> int:
-    thetas = np.linspace(args.theta_min, args.theta_max, args.points)
+    thetas = _linspace(args.theta_min, args.theta_max, args.points)
     rows = []
     for family in ("new", "tilted"):
         for theta in thetas:
-            cert = _solve(args, float(theta), family)
+            cert = _solve(args, theta, family)
             row = {**cutoff_to_row(cert), "grid_n": cert.grid_a}
             rows.append({key: row[key] for key in FIG4_HEADER})
     rows.sort(key=lambda r: (r["inequality"], r["theta"]))
@@ -344,15 +354,16 @@ def cmd_sweep_fig4(args) -> int:
 def cmd_sweep_fig5(args) -> int:
     theta = args.theta
     cert = _solve(args, theta, args.inequality)
-    lb = bell.local_bound(bell.BellKind(args.inequality, theta))
-    betas = np.linspace(2.0, certify.CHSH_QUANTUM_BOUND, args.points)
+    lb = (pipeline.local_bound_new if args.inequality == "new"
+          else pipeline.tilted_local_bound)(theta)
+    betas = _linspace(2.0, pipeline.CHSH_QUANTUM_BOUND, args.points)
     # extend slightly below the local bound so the trivial region is visible
     i_lo = lb - 0.05 * (1.0 - lb)
-    violations = np.linspace(i_lo, 1.0, args.points)
+    violations = _linspace(i_lo, 1.0, args.points)
     rows = []
     for beta in betas:
         for i in violations:
-            fc = certify.raw_pipeline_bound(float(beta), float(i), theta, cert)
+            fc = pipeline.raw_pipeline_bound(beta, i, theta, cert)
             rows.append({"theta": theta, "beta": fc.beta, "i_theta": fc.i0,
                          "p0": fc.p0, "f_in": fc.f_in, "f_out": fc.f_out,
                          "bound": fc.bound})
@@ -379,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (quantum.DomainError, certify.NonQuantumValueError,
-            certify.ChannelFamilyError, ValueError) as exc:
+    except (pipeline.DomainError, pipeline.NonQuantumValueError,
+            pipeline.ChannelFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ which turn each outcome into a genuine multi-Kraus map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class NoiseModel:
     branch_depolarization: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("alice_angle_offset", "bob_angle_offset", "instrument_theta"):
+            angle = getattr(self, name)
+            if angle is not None and not math.isfinite(angle):
+                raise DomainError(f"{name}={float(angle)!r} is not a finite number")
         if not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility {self.visibility} outside [0, 1]")
         if not 0.0 <= self.branch_depolarization <= 1.0:

@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrixcore import as_matrix, hermiticity_defect, kron
+# the scalar layer, re-exported here
+from .pipeline import (  # noqa: F401
+    LINEAR_WARP, THETA_RANGE, DomainError, _check_range, bob_ideal_angle, check_theta,
+    warp_variant)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -35,34 +39,11 @@ V_OBS = (SIGMA_Z - SIGMA_X) / np.sqrt(2.0)
 # Rotation by pi around the x axis, exp(i pi/2 sigma_x) = i sigma_x.
 ROT_X_PI = 1j * SIGMA_X
 
-# the instrument angles every cutoff, Bell expression and target state accept
-THETA_RANGE = (0.05, np.pi / 4)
 _SQRT2_P1 = 1.0 + np.sqrt(2.0)
-_ANGLE_SLACK = 1e-12
-
-
-class DomainError(ValueError):
-    """An angle or parameter lies outside its admissible range."""
 
 
 class DegenerateInstrumentError(ValueError):
     """Every outcome branch of an instrument has vanishing probability."""
-
-
-def _check_range(value: float, lo: float, hi: float, name: str) -> float:
-    value = float(value)
-    if not (lo - _ANGLE_SLACK <= value <= hi + _ANGLE_SLACK):
-        raise DomainError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
-    return value
-
-
-def check_theta(theta: float) -> float:
-    """The instrument angle as a float, if it lies in ``THETA_RANGE``."""
-    theta = float(theta)
-    lo, hi = THETA_RANGE
-    if not (lo - _ANGLE_SLACK <= theta <= hi + _ANGLE_SLACK):
-        raise DomainError(f"theta={theta!r} outside [{lo}, pi/4]")
-    return theta
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -111,32 +92,6 @@ def bob_observable(index: int, b: float) -> np.ndarray:
     return np.cos(b) * SIGMA_X + sign * np.sin(b) * SIGMA_Z
 
 
-def bob_ideal_angle(theta: float, kind: str = "new") -> float:
-    """Half-angle between Bob's observables that makes the test maximal.
-
-    For the symmetric inequality this is arctan of
-    sqrt((1 + cos^2(2 theta)/2) / sin^2(2 theta)). For the tilted-CHSH test,
-    in the observable convention above (Bob's bisector along sigma_x), the
-    maximum sits at arctan(1/sin(2 theta)).  Both reduce to pi/4 at
-    theta = pi/4, where either test is a rescaled CHSH.
-    """
-    theta = _check_range(theta, 0.0, np.pi / 4, "theta")
-    two = 2.0 * theta
-    if kind == "new":
-        s2, c2 = np.sin(two), np.cos(two)
-        if s2 < 1e-12:
-            raise DomainError("theta too close to 0 for the symmetric inequality")
-        return float(np.arctan(np.sqrt((1.0 + 0.5 * c2 * c2) / (s2 * s2))))
-    if kind == "tilted":
-        s2 = np.sin(two)
-        if s2 < 1e-12:
-            raise DomainError("theta too close to 0 for the tilted inequality")
-        return float(np.arctan(1.0 / s2))
-    if kind == "chsh":
-        return float(np.pi / 4)
-    raise DomainError(f"unknown inequality kind {kind!r}")
-
-
 def ideal_settings(theta: float, kind: str = "new") -> tuple[float, float]:
     """Measurement angles (a, b) at which the Bell value reaches 1.
 
@@ -182,10 +137,6 @@ class KrausInstrument:
         if defect > 1e-9:
             raise ValueError(f"instrument is not complete: defect {defect:.3e}")
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.branches)
-
 
 @dataclass(frozen=True)
 class RegisterState:
@@ -217,10 +168,6 @@ class RegisterState:
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"block probabilities sum to {total:.10f}, not 1")
         object.__setattr__(self, "blocks", tuple(frozen))
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(label for label, _, _ in self.blocks)
 
     def probability(self, label: int) -> float:
         for lbl, prob, _ in self.blocks:
@@ -361,9 +308,6 @@ def dephasing_alice(a: float) -> DephasingChannel:
 # Bob's channel reuses the same profile through a reparametrization of his
 # half-angle that moves the profile peak from pi/4 to the ideal angle.
 
-LINEAR_WARP = "linear"
-
-
 @dataclass(frozen=True)
 class AngleWarp:
     """Monotone reparametrization t(b) of Bob's half-angle.
@@ -379,7 +323,7 @@ class AngleWarp:
 
     @property
     def variant(self) -> str:
-        return "identity" if abs(self.b_ideal - np.pi / 4) < 1e-12 else LINEAR_WARP
+        return warp_variant(self.b_ideal)
 
     def __call__(self, b: np.ndarray | float) -> np.ndarray:
         shape = np.shape(b)

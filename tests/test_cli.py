@@ -309,3 +309,63 @@ def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
     with pytest.raises(OSError):
         cli._write_atomic(cache_dir / "other.json", "{}")
     assert [p.name for p in cache_dir.iterdir()] == [_cached_file(cache_dir).name]
+
+
+CERTIFY_06 = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.97", "--i1", "0.96",
+              "--p0", "0.5", "--grid-n", "101"]
+
+
+@pytest.mark.parametrize("flag", ["beta", "i0", "i1", "p0"])
+def test_certify_error_names_a_nan_input(flag, cache_dir, capsys):
+    args = list(CERTIFY_06)
+    args[args.index(f"--{flag}") + 1] = "nan"
+    code, out, err = run(args + ["--cache-dir", str(cache_dir)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag}=nan " in err
+
+
+@pytest.mark.parametrize("flag, name", [("alice-offset", "alice_angle_offset"),
+                                        ("bob-offset", "bob_angle_offset"),
+                                        ("instrument-theta", "instrument_theta")])
+def test_simulate_error_names_a_nan_angle(flag, name, cache_dir, capsys):
+    code, out, err = run(["simulate", "--theta", "0.6", "--grid-n", "101", f"--{flag}=nan",
+                          "--cache-dir", str(cache_dir)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name}=nan " in err
+
+
+def test_cache_dir_that_is_a_file_costs_a_warning_only(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, honest, _ = run(CERTIFY_06 + ["--no-cache"], capsys)
+    assert code == 0
+    monkeypatch.setenv("DIQC_CACHE_DIR", str(blocker))
+    code, out, err = run(CERTIFY_06, capsys)
+    assert code == 0
+    assert out == honest
+    assert err.startswith("warning: cannot write cache entry ")
+    assert str(blocker) in err
+
+
+def test_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
+    # a directory where the entry belongs can be neither read nor replaced
+    entry = cli._cache_path(cache_dir, 0.6, "new", (101, 101), 2)
+    entry.mkdir(parents=True)
+    code, honest, _ = run(CERTIFY_06 + ["--no-cache"], capsys)
+    code, out, err = run(CERTIFY_06 + ["--cache-dir", str(cache_dir)], capsys)
+    assert code == 0
+    assert out == honest
+    assert str(entry) in err
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+def test_unwritable_output_file_is_an_error(cache_dir, tmp_path, capsys):
+    target = tmp_path / "missing" / "cert.csv"
+    code, out, err = run(cutoff_args(cache_dir, ["--out", str(target)]), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert str(target) in err
+    assert not target.parent.exists()

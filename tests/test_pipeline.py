@@ -1,0 +1,102 @@
+import math
+
+import numpy as np
+import pytest
+
+from diqc import cli, pipeline
+from diqc.experiment import NoiseModel
+from diqc.pipeline import DomainError, certify_instrument, raw_pipeline_bound
+
+# the default sweep-fig4 angles, the benchmark's 13 and the sweep-fig5 default
+ANGLES = sorted({*map(float, np.linspace(0.05, np.pi / 4, 25)),
+                 *map(float, np.linspace(0.05, np.pi / 4, 13)), cli.FIG5_THETA})
+
+
+@pytest.fixture(scope="module")
+def cert():
+    # a cutoff record at theta = 0.6; the pipeline reads only theta and i_star
+    theta, i_star = 0.6, 0.85
+    s, mu = pipeline.slope_and_intercept(theta, i_star)
+    return pipeline.LinearBoundCertificate(
+        theta=theta, family="new", i_star=i_star, slope=s, intercept=mu, grid_a=101,
+        grid_b=101, refine_levels=2, tol=pipeline.VERIFY_TOL, worst_margin=0.0,
+        worst_a=0.0, worst_b=0.0, delta_variant="linear")
+
+
+# the numpy expressions the math forms replaced, kept as oracles
+
+
+def np_bob_ideal_angle(theta, kind):
+    two = 2.0 * theta
+    if kind == "new":
+        s2, c2 = np.sin(two), np.cos(two)
+        return float(np.arctan(np.sqrt((1.0 + 0.5 * c2 * c2) / (s2 * s2))))
+    return float(np.arctan(1.0 / np.sin(two)))
+
+
+def np_tilted_alpha(theta):
+    if abs(theta - np.pi / 4) < 1e-12:
+        return 0.0
+    tan2 = np.tan(2 * theta)
+    return float(2.0 / np.sqrt(1.0 + 2.0 * tan2 * tan2))
+
+
+def np_local_bound_new(theta):
+    c2, c4 = np.cos(2 * theta), np.cos(4 * theta)
+    return float(0.25 * (c2 + (2.0 + c2) * np.sqrt((7.0 - c4) / (5.0 + c4))))
+
+
+def np_tilted_local_bound(theta):
+    alpha = np_tilted_alpha(theta)
+    return float((2.0 + alpha) / np.sqrt(8.0 + 2.0 * alpha * alpha))
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_math_forms_match_numpy_bit_for_bit(theta):
+    pairs = [(pipeline.bob_ideal_angle(theta, "new"), np_bob_ideal_angle(theta, "new")),
+             (pipeline.bob_ideal_angle(theta, "tilted"), np_bob_ideal_angle(theta, "tilted")),
+             (pipeline.tilted_alpha(theta), np_tilted_alpha(theta)),
+             (pipeline.local_bound_new(theta), np_local_bound_new(theta)),
+             (pipeline.tilted_local_bound(theta), np_tilted_local_bound(theta))]
+    assert [mine.hex() for mine, _ in pairs] == [oracle.hex() for _, oracle in pairs]
+
+
+def _fig5_floor(family):
+    lb = pipeline.local_bound_new(cli.FIG5_THETA) if family == "new" else \
+        pipeline.tilted_local_bound(cli.FIG5_THETA)
+    return lb - 0.05 * (1.0 - lb)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.05, np.pi / 4, 25),
+    (2.0, pipeline.CHSH_QUANTUM_BOUND, 50),
+    (_fig5_floor("new"), 1.0, 50),
+    (_fig5_floor("tilted"), 1.0, 50),
+    (0.05, np.pi / 4, 1),
+    (0.05, np.pi / 4, 2),
+    (0.05, np.pi / 4, 7),
+    (np.pi / 4, 0.05, 25),
+])
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num):
+    assert [x.hex() for x in cli._linspace(start, stop, num)] == \
+        [float(x).hex() for x in np.linspace(start, stop, num)]
+
+
+@pytest.mark.parametrize("name", ["beta", "i0", "i1", "p0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pipeline_names_a_non_finite_input(name, value, cert):
+    args = dict(beta=2.7, i0=0.97, i1=0.96, p0=0.5) | {name: value}
+    with pytest.raises(DomainError, match=f"^{name}="):
+        certify_instrument(**args, theta=0.6, cert=cert)
+
+
+def test_raw_pipeline_names_a_non_finite_violation(cert):
+    with pytest.raises(DomainError, match="^i0=nan"):
+        raw_pipeline_bound(2.7, math.nan, 0.6, cert)
+
+
+@pytest.mark.parametrize("name", ["alice_angle_offset", "bob_angle_offset",
+                                  "instrument_theta"])
+def test_noise_model_names_a_non_finite_angle(name):
+    with pytest.raises(DomainError, match=f"^{name}=nan"):
+        NoiseModel(**{name: math.nan})
