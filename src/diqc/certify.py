@@ -42,7 +42,7 @@ reasons:
   clears it at the final slope, which is at least s0;
 * the planes differ from the operator the stacks give by about 1e-15
   (1 + s0) per entry (a test holds them to 1e-14 (1 + s0) at four angles
-  for both families), far below delta = 1e-12 (1 + s0);
+  for both families and branches), far below delta = 1e-12 (1 + s0);
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
   of Numerical Algorithms, Thm 10.3), also far below delta;
@@ -56,9 +56,9 @@ patch is screened the same way from the exact maximum over its sample
 maximum and where it lies (the next patch's centre) stay the same. A final
 margin scan at I* over the solved meshgrids alone confirms the certificate.
 
-The certificate is numerical: it reports the grid, the worst margin of the
-final scan and the angle pair where the bound binds, so callers can
-re-verify at higher resolution.
+The same screen, at a certificate's own slope and intercept, lets
+`verify_branch1` re-verify the branch-1 operator at any resolution in
+milliseconds, taking exact margins only where it fails.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ from .bell import BellKind
 from .pipeline import (  # noqa: F401
     BETA_STAR, CHSH_QUANTUM_BOUND, DEFAULT_GRID, DEFAULT_REFINE_LEVELS, SOLVER_TAG,
     TRIVIAL_INPUT_FIDELITY, VERIFY_TOL, ChannelFamilyError, DomainError,
-    FidelityCertificate, LinearBoundCertificate, NonQuantumValueError, certify_instrument,
-    combine_branches, input_fidelity_bound, instrument_fidelity_bound,
-    output_fidelity_bound, raw_pipeline_bound, slope_and_intercept)
+    FidelityCertificate, LinearBoundCertificate, NonQuantumValueError, _check_cutoff,
+    _check_range, certify_instrument, combine_branches, input_fidelity_bound,
+    instrument_fidelity_bound, output_fidelity_bound, raw_pipeline_bound, slope_and_intercept)
 
 _REFINE_POINTS = 17
 # matrices per batched eigensolve or screen call, 16 rows of the default
@@ -84,10 +84,8 @@ _BLOCK_MATRICES = 16 * 201
 # lower triangle of a 4x4 matrix, the entries the screen builds
 _LOWER = np.tril_indices(4)
 # the screen clears a point when its operator exceeds delta = this * (1 + s0),
-# far above the LDL^T backward error of about 5e-15 * (1 + s0) and the error
-# of about 1e-15 * (1 + s0) in building it from separable factors: the
-# screened operator has norm at most 2 (1 + s0), since ||1 - T|| <= 1 and
-# ||1 - B|| <= 2
+# far above the errors of building and factoring it, about 1e-15 and 5e-15
+# times its norm, which is at most ||1 - T|| + s0 ||1 - B|| <= 2 (1 + s0)
 _SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
@@ -171,21 +169,21 @@ class _MarginEvaluator:
         order) at (a[r], b[k]) is sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's
         factors are the twirl's three and ``bell.alice_factors``; Bob's are
         the twirl's three, one per term of ``bell.bell_terms`` and a row of
-        ones that carries the shift. This is the branch-0 operator, the
-        only one the cutoff solver screens.
+        ones that carries the shift. Branch 1 takes Alice's Bell factors at
+        pi/2 - a and conjugates each Pauli product by ``_RR``, as ``stacks`` does.
         """
         wa = np.atleast_1d(quantum.alice_dephasing_weight(a))
         wb = (1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0
         far_a, far_b = a > np.pi / 4, b > self.b_ideal
         x = np.vstack([wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a,
-                       bell.alice_factors(a)]).T
+                       bell.alice_factors(np.pi / 2 - a if self.branch else a)]).T
         terms, norm = bell.bell_terms(self.kind, b)
         y = np.vstack([wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b,
                        *(g for _, g, _ in terms), np.ones_like(b)])
         c = np.zeros((6, len(y), 4, 4))
         c[:3, :3] = self._twirl
         for t, (i, _, k) in enumerate(terms):
-            c[3 + i, 3 + t] = (-s0 / norm) * k
+            c[3 + i, 3 + t] = (-s0 / norm) * (_RR @ k @ _RR.T if self.branch else k)
         c[5, -1] = -shift * np.eye(4)
         return x, c[:, :, _LOWER[0], _LOWER[1]], y
 
@@ -219,14 +217,24 @@ class _MarginEvaluator:
         return np.linalg.eigvalsh(r[..., :, None] * g * r[..., None, :])[..., -1]
 
 
+def _check_grid(grid: tuple[int, int], refine_levels: int) -> None:
+    """Reject a grid under 101 points per axis or a negative refinement depth."""
+    if min(grid) < 101:
+        raise ValueError(f"grid {grid} too coarse: need at least 101 points per axis")
+    if refine_levels < 0:
+        raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
+
+
 def operator_margin(theta: float, family: str, i_star: float, a: float, b: float) -> float:
     """Smallest eigenvalue of the bound operator at one angle pair.
 
     Nonnegative margins at every (a, b) make the linear overlap bound with
-    cutoff ``i_star`` valid.
+    cutoff ``i_star`` valid. Raises DomainError for an angle outside
+    [0, pi/2] or a cutoff outside (0, 1).
     """
     ev = _MarginEvaluator(theta, family)
-    return float(ev.margins(i_star, np.array([a]), np.array([b]))[0, 0])
+    a, b = _check_range(a, 0.0, np.pi / 2, "a"), _check_range(b, 0.0, np.pi / 2, "b")
+    return float(ev.margins(_check_cutoff(i_star), np.array([a]), np.array([b]))[0, 0])
 
 
 Patch = tuple[np.ndarray, np.ndarray]
@@ -290,16 +298,6 @@ def _refine(peak, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
     return best, best_at, patches
 
 
-def _search(f, n_a: int, n_b: int, refine_levels: int,
-            b_ideal: float) -> tuple[float, tuple[float, float], list[Patch]]:
-    """Largest value of f over the full grid plus local refinement patches."""
-    def peak(a: np.ndarray, b: np.ndarray):
-        return *_peak(f, a, b), [(a, b)]
-
-    best, best_at = _peak(f, _grid(n_a), _grid(n_b))
-    return _refine(peak, best, best_at, n_a, n_b, refine_levels, b_ideal)
-
-
 def _positive_definite(m: np.ndarray) -> np.ndarray:
     """Whether each symmetric matrix of a stack is positive definite.
 
@@ -349,30 +347,38 @@ def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
     return i_star
 
 
+def _screen(ev: _MarginEvaluator, s: float, mu: float, a: np.ndarray, b: np.ndarray) -> Patch:
+    """Rows and columns of the meshgrid of a and b that the LDL^T screen leaves.
+
+    Returns the angles of a and of b, in order, whose rows and columns hold
+    every point where LDL^T of T - s B - (mu + _SCREEN_RTOL (1 + s)), built
+    from ev's separable planes, fails; both are empty if it fails nowhere.
+    """
+    x, c, y = ev.separable(s, mu + _SCREEN_RTOL * (1.0 + s), a, b)
+    rows = _rows(len(b))
+    fails = np.concatenate([~_positive_definite(_lower_stack(x[i:i + rows], c, y))
+                            for i in range(0, len(a), rows)])
+    return a[fails.any(axis=1)], b[fails.any(axis=0)]
+
+
 def _screened_peak(ev: _MarginEvaluator, a: np.ndarray, b: np.ndarray,
                    guess: Peak) -> tuple[float, tuple[float, float], list[Patch]]:
     """Largest pencil slope over the meshgrid of a and b, solved sparsely.
 
     ``guess`` is a slope, at most the true maximum, and where it was found.
-    Take the cutoff I0 that it gives, with slope s0 and intercept mu0. A
-    point whose operator T - s0 B - (mu0 + delta) is positive definite has
-    s_min below s0 and cannot hold the maximum. The pencil is solved on the
-    rows and columns that hold every other point, as one meshgrid in the
-    order of a and b, so ties break as np.argmax over the full grid does.
+    The pencil is solved only on what ``_screen`` leaves at the slope s0 and
+    intercept mu0 of the cutoff the guess gives, since a cleared point has
+    s_min below s0; ties break as np.argmax over the full grid does.
     Returns the maximum, where it is, and the solved meshgrid in a list.
     Raises ChannelFamilyError if the screen clears every point, which only
     a guess above the maximum can cause.
     """
     s0, mu0 = slope_and_intercept(ev.theta, _cutoff(ev, *guess))
-    x, c, y = ev.separable(s0, mu0 + _SCREEN_RTOL * (1.0 + s0), a, b)
-    rows = _rows(len(b))
-    fails = np.concatenate([~_positive_definite(_lower_stack(x[i:i + rows], c, y))
-                            for i in range(0, len(a), rows)])
-    if not fails.any():
+    solved = _screen(ev, s0, mu0, a, b)
+    if not solved[0].size:
         raise ChannelFamilyError(
             f"guess {guess[0]:.6g} exceeds the maximum slope: the screen clears all "
             f"{len(a)}x{len(b)} points for {ev.kind.family} at theta={ev.theta}")
-    solved = (a[fails.any(axis=1)], b[fails.any(axis=0)])
     return *_peak(ev.slopes, *solved), [solved]
 
 
@@ -419,30 +425,18 @@ def find_cutoff(theta: float, family: str = "new",
     ideal point, gives I* = 1 - sin^2 theta / max s_min, rounded up to the
     first float whose slope covers that maximum.
 
-    The pencil is solved exactly at the four corners of [0, pi/2]^2 for a
-    guess s0, and then only at the grid points a positive definiteness
-    screen cannot clear: the operator at s0 minus delta = 1e-12 (1 + s0),
-    built from its separable factors as planes of matrix entries and
-    factored by LDL^T; the construction error and the backward error both
-    stay far below delta. Since the margin is nondecreasing in s, a cleared
-    point has s_min < s0 and a margin above delta at I*. So the maximum,
-    where it lies (ties broken in row-major order) and the certificate
-    equal those of a solve at every grid point, for any guess at most the
-    grid maximum; the corners are grid points, and at every default angle
-    one of them holds the maximum, so the screen leaves only a few points
-    to solve. Each refinement patch, with no angle repeated on its axes, is
-    screened likewise from the exact maximum over its 3x3 sample of first,
-    middle and last angles, at most the patch maximum. A final margin scan
-    at I* over the solved meshgrids must find no margin below -VERIFY_TOL.
-    Raises
-    ChannelFamilyError if 1 - T fails to vanish on the kernel of 1 - B or
-    the final scan fails, which indicates a broken channel family.
+    The pencil is solved at the four corners of [0, pi/2]^2 for a guess s0
+    and then only where ``_screen`` at s0 leaves points; each refinement
+    patch, with no angle repeated on its axes, is screened from the exact
+    maximum over its 3x3 sample of first, middle and last angles. The
+    module docstring shows why the maximum, where it lies (ties broken in
+    row-major order) and the certificate equal a solve's at every point. A
+    final margin scan at I* over the solved meshgrids must find no margin
+    below -VERIFY_TOL. Raises ChannelFamilyError if 1 - T fails to vanish
+    on the kernel of 1 - B or the final scan fails, which indicates a
+    broken channel family.
     """
-    n_a, n_b = grid
-    if n_a < 101 or n_b < 101:
-        raise ValueError(f"grid {grid} too coarse: need at least 101 points per axis")
-    if refine_levels < 0:
-        raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
+    _check_grid(grid, refine_levels)
     ev = _MarginEvaluator(theta, family)
     ends = np.array([0.0, np.pi / 2])
     return _screened_cutoff(ev, grid, refine_levels, _peak(ev.slopes, ends, ends))
@@ -452,24 +446,41 @@ def verify_branch1(cert: LinearBoundCertificate,
                    grid: tuple[int, int] | None = None) -> float:
     """Re-verify an accepted certificate against the second branch state.
 
-    Scans the operator inequality built from the branch-1 target and the
-    rotated Bell operator over the full grid; by the change-of-variables
-    symmetry its margins equal the branch-0 margins at mirrored Alice
-    angles, so an accepted certificate must pass. Returns the worst margin;
-    raises SymmetryViolationError if it is worse than ten times the
-    certificate tolerance (an implementation-bug indicator, not a physical
-    failure mode). Raises DomainError if the certificate records another
-    ``delta_variant`` than its angle gives.
+    Returns the worst margin at the certificate's I* of the branch-1
+    operator inequality over the grid (its own unless ``grid`` is given)
+    and its refinement patches; by the mirror symmetry in Alice's angle it
+    equals the branch-0 one, so an accepted certificate passes. Exact
+    margins are taken where ``_screen`` leaves points, or on all of a
+    meshgrid it clears; a point it clears has a margin above delta less
+    about 6e-15 (1 + s), so a meshgrid's worst margin and where it lies
+    (the next patch's centre) are a full scan's whenever that margin is
+    below this, as it is for every ``find_cutoff`` certificate.
+    Raises SymmetryViolationError below -10 VERIFY_TOL (an implementation
+    bug, not a physical failure mode); DomainError for a ``delta_variant``
+    other than the angle's, a ``tol`` other than VERIFY_TOL or an
+    ``i_star`` outside (0, 1); ValueError as ``find_cutoff`` for the grid.
     """
     n_a, n_b = grid if grid is not None else (cert.grid_a, cert.grid_b)
+    _check_grid((n_a, n_b), cert.refine_levels)
     ev = _MarginEvaluator(cert.theta, cert.family, branch=1)
     if ev.warp.variant != cert.delta_variant:
         raise DomainError(
             f"certificate records delta_variant={cert.delta_variant!r}, but "
             f"theta={cert.theta} gives {ev.warp.variant!r}")
-    neg, _, _ = _search(lambda a, b: -ev.margins(cert.i_star, a, b), n_a, n_b,
-                        cert.refine_levels, ev.b_ideal)
-    if -neg < -10.0 * cert.tol:
+    if cert.tol != VERIFY_TOL:
+        raise DomainError(
+            f"certificate records tol={cert.tol!r}, but certificates are verified "
+            f"to VERIFY_TOL={VERIFY_TOL!r}")
+    s, mu = slope_and_intercept(ev.theta, _check_cutoff(cert.i_star))
+
+    def peak(a: np.ndarray, b: np.ndarray):
+        left = _screen(ev, s, mu, a, b)
+        return *_peak(lambda a, b: -ev.margins(cert.i_star, a, b),
+                      *(left if left[0].size else (a, b))), []
+
+    neg, at, _ = peak(_grid(n_a), _grid(n_b))
+    neg, _, _ = _refine(peak, neg, at, n_a, n_b, cert.refine_levels, ev.b_ideal)
+    if -neg < -10.0 * VERIFY_TOL:
         raise SymmetryViolationError(
             f"branch-1 margin {-neg:.3e} violates the mirror symmetry")
     return -neg

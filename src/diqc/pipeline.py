@@ -49,6 +49,14 @@ def _check_range(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def _check_cutoff(i_star: float) -> float:
+    """The cutoff I* as a float, if it lies in (0, 1)."""
+    i_star = float(i_star)
+    if not 0.0 < i_star < 1.0:
+        raise DomainError(f"i_star={i_star!r} outside (0, 1)")
+    return i_star
+
+
 def check_theta(theta: float) -> float:
     """The instrument angle as a float, if it lies in ``THETA_RANGE``."""
     return _check_range(theta, *THETA_RANGE, "theta")
@@ -125,10 +133,10 @@ class LinearBoundCertificate:
 
     Records the full verification metadata: grid resolution, refinement
     depth, the verification tolerance, the worst margin of the final scan,
-    the binding angle pair (where the bound is tight, so I* cannot be
-    lowered; reported as ``worst_a``, ``worst_b``), and which
-    reparametrization of Bob's extraction channel was in force (derived from
-    the angle, see ``quantum.AngleWarp``).
+    the binding angle pair ``worst_a``, ``worst_b`` (where the computed
+    maximum slope lies, so I* cannot be lowered there; when the corners
+    a = 0 and a = pi/2 both bind, roundoff decides which one is named), and
+    Bob's channel reparametrization (from the angle, see ``quantum.AngleWarp``).
     """
 
     theta: float
@@ -204,8 +212,7 @@ def output_fidelity_bound(i: float, theta: float, i_star: float,
     i = float(i)
     if i > 1.0 + 1e-6:
         raise NonQuantumValueError(f"violation {i!r} exceeds the quantum bound 1")
-    if not 0.0 < i_star < 1.0:
-        raise DomainError(f"i_star={i_star!r} outside (0, 1)")
+    _check_cutoff(i_star)
     i = min(i, 1.0)
     c2 = math.cos(theta) ** 2
     inner = c2 + (1.0 - c2) * (i - i_star) / (1.0 - i_star)

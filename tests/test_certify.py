@@ -228,13 +228,23 @@ def test_kernel_leak_names_its_input(monkeypatch):
 # ---- the screen against a solve at every grid point ----
 
 
+def _unscreened_search(f, grid, refine_levels, b_ideal):
+    # largest value of f at every point of the grid and of every refinement
+    # patch, and the patches
+    def peak(a, b):
+        return *certify._peak(f, a, b), [(a, b)]
+
+    a, b = np.linspace(0.0, np.pi / 2, grid[0]), np.linspace(0.0, np.pi / 2, grid[1])
+    return certify._refine(peak, *certify._peak(f, a, b), *grid, refine_levels, b_ideal)
+
+
 def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
                       refine_levels=certify.DEFAULT_REFINE_LEVELS):
     # reference solve with no screen: exact slopes at every grid point, the
     # same refinement patches, and a margin scan over the grid and patches
     ev = certify._MarginEvaluator(theta, family)
-    s_max, (bind_a, bind_b), patches = certify._search(
-        ev.slopes, *grid, refine_levels, ev.b_ideal)
+    s_max, (bind_a, bind_b), patches = _unscreened_search(
+        ev.slopes, grid, refine_levels, ev.b_ideal)
     i_star = certify._cutoff(ev, s_max, (bind_a, bind_b))
     a, b = np.linspace(0.0, np.pi / 2, grid[0]), np.linspace(0.0, np.pi / 2, grid[1])
     worst = min(float(ev.margins(i_star, pa, pb).min()) for pa, pb in [(a, b), *patches])
@@ -315,18 +325,21 @@ def test_screen_clearing_every_point_names_its_input():
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screen_planes_match_operator_stacks(theta, family):
     # the lower triangle the screen builds from separable factors against
-    # twirled - s0 bops - shift from the stacks, at the corner guess's s0
-    ev = certify._MarginEvaluator(theta, family)
-    ends = np.array([0.0, np.pi / 2])
-    guess = certify._peak(ev.slopes, ends, ends)
-    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
-    shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
-    a = b = np.linspace(0.0, np.pi / 2, 201)
-    planes = certify._lower_stack(*ev.separable(s0, shift, a, b))
-    twirled, bops = ev.stacks(a, b)
-    expected = twirled - s0 * bops - shift * np.eye(4)
-    i, j = certify._LOWER
-    assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
+    # twirled - s0 bops - shift from the stacks, at the corner guess's s0,
+    # for the branch-0 operator the solver screens and the branch-1 one
+    # that verify_branch1 screens
+    for branch in (0, 1):
+        ev = certify._MarginEvaluator(theta, family, branch)
+        ends = np.array([0.0, np.pi / 2])
+        guess = certify._peak(ev.slopes, ends, ends)
+        s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
+        shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
+        a = b = np.linspace(0.0, np.pi / 2, 201)
+        planes = certify._lower_stack(*ev.separable(s0, shift, a, b))
+        twirled, bops = ev.stacks(a, b)
+        expected = twirled - s0 * bops - shift * np.eye(4)
+        i, j = certify._LOWER
+        assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
 
 
 @pytest.mark.parametrize("theta, family, i_star, worst_margin", [
@@ -426,6 +439,99 @@ def test_verify_branch1_rejects_wrong_delta_variant(small_cert):
     relabelled = dataclasses.replace(small_cert, delta_variant="identity")
     with pytest.raises(DomainError, match="delta_variant"):
         verify_branch1(relabelled, grid=(101, 101))
+
+
+def _unscreened_branch1(cert, grid):
+    # reference verification with no screen: exact margins at every point
+    # of the grid and of every refinement patch
+    ev = certify._MarginEvaluator(cert.theta, cert.family, branch=1)
+    neg, _, _ = _unscreened_search(lambda a, b: -ev.margins(cert.i_star, a, b), grid,
+                                   cert.refine_levels, ev.b_ideal)
+    return -neg
+
+
+@pytest.mark.parametrize("theta, family, grid, refine_levels, verify_grid", [
+    (0.6, "new", (201, 201), 2, None),
+    (0.6, "new", (201, 201), 2, (151, 173)),
+    (0.25, "new", (151, 151), 3, None),
+    (0.7, "tilted", (201, 201), 0, (151, 173)),
+])
+def test_verify_branch1_equals_unscreened_scan(theta, family, grid, refine_levels,
+                                               verify_grid):
+    cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
+    expected = _unscreened_branch1(cert, verify_grid or grid)
+    assert verify_branch1(cert, grid=verify_grid).hex() == expected.hex()
+
+
+def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
+    # a conservative certificate clears whole meshgrids; scanning those in
+    # full keeps the patch centres, and so the result, of the unscreened scan
+    cert = find_cutoff(0.6, "new")
+    i_star = (cert.i_star + 1.0) / 2.0
+    s, mu = slope_and_intercept(0.6, i_star)
+    cert = dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu)
+    cleared = []
+    screen = certify._screen
+
+    def recording_screen(*args):
+        left = screen(*args)
+        cleared.append(left[0].size == 0)
+        return left
+
+    monkeypatch.setattr(certify, "_screen", recording_screen)
+    assert verify_branch1(cert).hex() == _unscreened_branch1(cert, (201, 201)).hex()
+    assert len(cleared) == 5 and 0 < sum(cleared) < 5
+
+
+@pytest.mark.parametrize("n", [201, 801])
+def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
+    # the screen works on separable planes; exact margins stack Bell
+    # operators only on the points it leaves
+    built = []
+    grid = bell.bell_operator_grid
+
+    def counting_grid(kind, a, b):
+        built.append(np.size(a) * np.size(b))
+        return grid(kind, a, b)
+
+    cert = find_cutoff(0.6, "new")
+    monkeypatch.setattr(bell, "bell_operator_grid", counting_grid)
+    verify_branch1(cert, grid=(n, n))
+    assert sum(built) <= 50
+
+
+@pytest.mark.parametrize("field, value", [("tol", 1e6), ("tol", float("nan")),
+                                          ("i_star", 1.0), ("i_star", float("nan")),
+                                          ("i_star", 1.5), ("i_star", 0.0)])
+def test_verify_branch1_rejects_untrusted_fields(small_cert, field, value):
+    with pytest.raises(DomainError, match=field):
+        verify_branch1(dataclasses.replace(small_cert, **{field: value}), grid=(101, 101))
+
+
+def test_verify_branch1_rejects_cutoff_far_below_true_one(small_cert):
+    low = dataclasses.replace(small_cert, i_star=0.5)
+    with pytest.raises(certify.SymmetryViolationError):
+        verify_branch1(low, grid=(101, 101))
+
+
+@pytest.mark.parametrize("grid, refine_levels", [((0, 0), 2), ((1, 1), 2), ((2, 2), 2),
+                                                 ((101, 100), 2), ((101, 101), -1)])
+def test_verify_branch1_checks_grid_as_find_cutoff_does(small_cert, grid, refine_levels):
+    cert = dataclasses.replace(small_cert, refine_levels=refine_levels)
+    with pytest.raises(ValueError, match="at least 101|refine_levels"):
+        verify_branch1(cert, grid=grid)
+    with pytest.raises(ValueError, match="at least 101|refine_levels"):
+        find_cutoff(0.6, "new", grid=grid, refine_levels=refine_levels)
+
+
+@pytest.mark.parametrize("i_star, a, b, name", [
+    (0.9, 5.0, 0.3, "a="), (0.9, 0.3, -0.1, "b="), (0.9, float("nan"), 0.3, "a="),
+    (0.9, 0.3, float("nan"), "b="), (1.0, 0.3, 0.3, "i_star="),
+    (float("nan"), 0.3, 0.3, "i_star="), (-0.2, 0.3, 0.3, "i_star="),
+])
+def test_operator_margin_rejects_unusable_input(i_star, a, b, name):
+    with pytest.raises(DomainError, match=name):
+        operator_margin(0.6, "new", i_star, a, b)
 
 
 def test_branch_margins_mirror_in_alice_angle(small_cert):
