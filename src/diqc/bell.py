@@ -261,7 +261,7 @@ def alice_factors(a: np.ndarray) -> np.ndarray:
 
     Her observables are A_0 = p sz + q sx and A_1 = q sz + p sx with
     p = cos(a - pi/4) and q = -sin(a - pi/4); the row of ones carries the
-    terms that act on Bob alone. Returns shape (3, len(a)).
+    terms that act on Bob alone. Returns shape (3,) + a.shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     p = (np.cos(a) + np.sin(a)) / np.sqrt(2.0)
@@ -278,9 +278,8 @@ def bell_terms(kind: BellKind,
 
     Returns the terms (i, g, K) and a normalization n such that
     B(a, b) = sum of alice_factors(a)[i] * g(b) * K over the terms, divided
-    by n. Each K is a fixed real Pauli product and each g has shape
-    (len(b),). The term order is the summation order of
-    ``bell_operator_grid``.
+    by n. Each K is a fixed real Pauli product and each g has the shape of
+    b. The term order is the summation order of ``bell_operators``.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     sb, cb = np.sin(b), np.cos(b)
@@ -302,17 +301,28 @@ def bell_terms(kind: BellKind,
     raise DomainError("chsh has no single-parameter operator form here")
 
 
-def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack of Bell operators over the meshgrid of angle arrays.
+def bell_operators(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bell operators at the angle pairs of a and b, which broadcast.
 
-    Returns a real array of shape (len(a), len(b), 4, 4), summed from the
-    terms of ``bell_terms`` in their order; agrees with the single-point
-    constructors to machine precision.
+    Returns a real array of the broadcast shape plus (4, 4), summed from the
+    terms of ``bell_terms`` in their order, so each matrix is the same
+    elementwise arithmetic on its own pair whatever the shape around it;
+    agrees with the single-point constructors to machine precision.
     """
     fa = alice_factors(a)
     terms, norm = bell_terms(kind, b)
     (i, g, k), *rest = terms
-    out = (fa[i][:, None] * g)[..., None, None] * k
+    out = (fa[i] * g)[..., None, None] * k
     for i, g, k in rest:
-        out += (fa[i][:, None] * g)[..., None, None] * k
+        out += (fa[i] * g)[..., None, None] * k
     return out / norm
+
+
+def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stack of Bell operators over the meshgrid of angle arrays.
+
+    Returns a real array of shape (len(a), len(b), 4, 4): ``bell_operators``
+    at a[:, None] and b[None, :].
+    """
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return bell_operators(kind, a[:, None], b[None, :])

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -230,12 +231,29 @@ def test_kernel_leak_names_its_input(monkeypatch):
 
 def _unscreened_search(f, grid, refine_levels, b_ideal):
     # largest value of f at every point of the grid and of every refinement
-    # patch, and the patches
+    # patch, and the patches, patch by patch: each level refines around the
+    # running best point and around the ideal point, one coarse cell wide,
+    # shrinking eightfold per level, and only a larger value moves the best
     def peak(a, b):
-        return *certify._peak(f, a, b), [(a, b)]
+        vals = f(a, b)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        return float(vals[i, j]), (float(a[i]), float(b[j]))
 
-    a, b = np.linspace(0.0, np.pi / 2, grid[0]), np.linspace(0.0, np.pi / 2, grid[1])
-    return certify._refine(peak, *certify._peak(f, a, b), *grid, refine_levels, b_ideal)
+    best, best_at = peak(*(np.linspace(0.0, np.pi / 2, n) for n in grid))
+    h = [(np.pi / 2) / (n - 1) for n in grid]
+    centers, patches = [best_at, (np.pi / 4, b_ideal)], []
+    for _ in range(refine_levels):
+        next_centers = []
+        for center in centers:
+            patch = tuple(certify._patch_axis(c, w) for c, w in zip(center, h))
+            value, at = peak(*patch)
+            if value > best:
+                best, best_at = value, at
+            patches.append(patch)
+            next_centers.append(at)
+        centers = next_centers
+        h = [w / (certify._REFINE_POINTS / 2.0) for w in h]
+    return best, best_at, patches
 
 
 def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
@@ -294,9 +312,10 @@ def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
     slopes, refine = certify._MarginEvaluator.slopes, certify._refine
 
     def counting_slopes(self, a, b):
+        out = slopes(self, a, b)
         if not in_patches[0]:
-            solved.append(len(a) * len(b))
-        return slopes(self, a, b)
+            solved.append(out.size)
+        return out
 
     def uncounted_refine(*args, **kwargs):
         in_patches[0] = True
@@ -370,13 +389,14 @@ def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
     # the screen works on separable planes; only the exact solves, the
     # refinement patches and the final scan stack Bell operators
     built = []
-    grid = bell.bell_operator_grid
+    operators = bell.bell_operators
 
-    def counting_grid(kind, a, b):
-        built.append(np.size(a) * np.size(b))
-        return grid(kind, a, b)
+    def counting_operators(kind, a, b):
+        out = operators(kind, a, b)
+        built.append(out.size // 16)
+        return out
 
-    monkeypatch.setattr(bell, "bell_operator_grid", counting_grid)
+    monkeypatch.setattr(bell, "bell_operators", counting_operators)
     find_cutoff(theta, family)
     assert sum(built) <= 200
 
@@ -391,18 +411,19 @@ def test_refinement_solves_few_points(theta, family, monkeypatch):
     slopes, refine = certify._MarginEvaluator.slopes, certify._refine
 
     def counting_slopes(self, a, b):
+        out = slopes(self, a, b)
         if in_patches[0]:
-            solved.append(len(a) * len(b))
-        return slopes(self, a, b)
+            solved.append(out.size)
+        return out
 
-    def flagged_refine(peak, *args):
-        def recording_peak(a, b):
-            axes.extend([a, b])
-            return peak(a, b)
+    def flagged_refine(peaks, *args):
+        def recording_peaks(meshgrids):
+            axes.extend(x for meshgrid in meshgrids for x in meshgrid)
+            return peaks(meshgrids)
 
         in_patches[0] = True
         try:
-            return refine(recording_peak, *args)
+            return refine(recording_peaks, *args)
         finally:
             in_patches[0] = False
 
@@ -412,6 +433,29 @@ def test_refinement_solves_few_points(theta, family, monkeypatch):
     assert len(axes) == 2 * 2 * certify.DEFAULT_REFINE_LEVELS
     assert all(np.all(np.diff(x) > 0) for x in axes)
     assert sum(solved) <= 80
+
+
+@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
+def test_solve_batches_its_eigensolves(theta, family, monkeypatch):
+    # one batched solve for the corners, one for what the grid screen
+    # leaves, two per refinement level (both patches' samples, then what
+    # both screens leave) and one final margin scan
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "diqc.certify":
+                calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    find_cutoff(theta, family)
+    assert calls["eigvalsh"] <= 7
+    assert calls["eigh"] <= 6
 
 
 def test_positive_definite_mask_matches_eigenvalues():
@@ -488,14 +532,15 @@ def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
     # the screen works on separable planes; exact margins stack Bell
     # operators only on the points it leaves
     built = []
-    grid = bell.bell_operator_grid
+    operators = bell.bell_operators
 
-    def counting_grid(kind, a, b):
-        built.append(np.size(a) * np.size(b))
-        return grid(kind, a, b)
+    def counting_operators(kind, a, b):
+        out = operators(kind, a, b)
+        built.append(out.size // 16)
+        return out
 
     cert = find_cutoff(0.6, "new")
-    monkeypatch.setattr(bell, "bell_operator_grid", counting_grid)
+    monkeypatch.setattr(bell, "bell_operators", counting_operators)
     verify_branch1(cert, grid=(n, n))
     assert sum(built) <= 50
 
@@ -522,6 +567,27 @@ def test_verify_branch1_checks_grid_as_find_cutoff_does(small_cert, grid, refine
         verify_branch1(cert, grid=grid)
     with pytest.raises(ValueError, match="at least 101|refine_levels"):
         find_cutoff(0.6, "new", grid=grid, refine_levels=refine_levels)
+
+
+@pytest.mark.parametrize("grid, refine_levels, name", [
+    ((201.5, 201), 2, "grid"), ((201.0, 201), 2, "grid"), ((201,), 2, "grid"),
+    ((201, 201, 201), 2, "grid"), (201, 2, "grid"), ((201, "201"), 2, "grid"),
+    ((201, 201), 1.5, "refine_levels"), ((201, 201), "2", "refine_levels"),
+])
+def test_grid_check_names_unusable_grid_or_depth(small_cert, grid, refine_levels, name):
+    # a grid is two integers and a depth is an integer; anything else is
+    # named in a ValueError before numpy or an unpacking sees it
+    with pytest.raises(ValueError, match=name):
+        find_cutoff(0.6, "new", grid=grid, refine_levels=refine_levels)
+    cert = dataclasses.replace(small_cert, refine_levels=refine_levels)
+    with pytest.raises(ValueError, match=name):
+        verify_branch1(cert, grid=grid)
+
+
+def test_grid_check_takes_numpy_integers(small_cert):
+    grid = (np.int64(101), np.int32(101))
+    assert find_cutoff(0.6, "new", grid=grid, refine_levels=np.int64(2)) == small_cert
+    assert verify_branch1(small_cert, grid=grid) == verify_branch1(small_cert, grid=(101, 101))
 
 
 @pytest.mark.parametrize("i_star, a, b, name", [
