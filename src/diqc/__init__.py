@@ -33,7 +33,7 @@ _EXPORTS = {
     "bell": "BellKind CorrelatorTable brute_force_local_bound chsh_value "
             "correlators_from_state new_bell_operator new_bell_value relabel_branch1 "
             "tilted_bell_value tilted_operator",
-    "certify": "SymmetryViolationError find_cutoff operator_margin verify_branch1",
+    "certify": "find_cutoff operator_margin verify_cutoff",
     "experiment": "NoiseModel RunStatistics cheating_run end_to_end noisy_instrument "
                   "noisy_source oracle_choi_fidelity simulate_run",
 }

@@ -27,7 +27,7 @@ from .matrixcore import as_matrix, kron
 from .pipeline import (  # noqa: F401
     DomainError, bob_ideal_angle, check_theta, local_bound_new, tilted_alpha,
     tilted_local_bound)
-from .quantum import IDENTITY_2, ROT_X_PI, SIGMA_X, SIGMA_Z, alice_observable, bob_observable
+from .quantum import IDENTITY_2, SIGMA_X, SIGMA_Z, alice_observable, bob_observable
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,9 @@ def relabel_branch1(t: CorrelatorTable) -> CorrelatorTable:
     """Outcome relabeling that turns branch-1 data into the primed test.
 
     Bob exchanges the roles of his two settings and Alice flips the sign of
-    her first observable's outcomes. (Resolved numerically: this is the
-    relabeling whose value reproduces Tr(B'(a,b) rho) with
-    B' = (R x R) B(pi/2 - a, b) (R x R)^dag; flipping A1 instead does not.)
+    her first observable's outcomes (flipping A1 instead does not work), so
+    the value is Tr(B'(a,b) rho) with B' = (R x R) B(pi/2 - a, b) (R x R)^dag,
+    R the pi rotation about x; also B'(a,b) = U B(a,b) U^T, U = (XZ) (x) (XZ).
     The map is an involution.
     """
     j = t.joint
@@ -229,17 +229,6 @@ def relabel_branch1(t: CorrelatorTable) -> CorrelatorTable:
     ma = np.array([-t.marginal_a[0], t.marginal_a[1]])
     mb = np.array([t.marginal_b[1], t.marginal_b[0]])
     return CorrelatorTable(joint, ma, mb)
-
-
-def branch1_operator(theta: float, a: float, b: float) -> np.ndarray:
-    """Bell operator of the relabeled branch-1 test.
-
-    Built as (R x R) B(pi/2 - a, b) (R^dag x R^dag) with R the pi rotation
-    around x, which realizes the branch relabeling at the operator level.
-    """
-    rr = kron(ROT_X_PI, ROT_X_PI)
-    base = new_bell_operator(theta, np.pi / 2 - a, b)
-    return rr @ base @ rr.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ entry. This is sound for four reasons:
   clears it at the final slope, which is at least s0;
 * the planes differ from the operator the stacks give by about 1e-15
   (1 + s0) per entry (a test holds them to 1e-14 (1 + s0) at four angles
-  for both families and branches), far below delta = 1e-12 (1 + s0);
+  for both families), far below delta = 1e-12 (1 + s0);
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
   of Numerical Algorithms, Thm 10.3), also far below delta;
@@ -70,8 +70,10 @@ ties break row-major within a meshgrid and then in meshgrid order, a later
 meshgrid winning only with a strictly larger value.
 
 The same screen, at a certificate's own slope and intercept, lets
-`verify_branch1` re-verify the branch-1 operator at any resolution in
-milliseconds, taking exact margins only where it fails.
+`verify_cutoff` re-verify it at any resolution in milliseconds. The
+orthogonal U = (XZ) (x) (XZ) maps branch 0's target, twirl and B(a, b) to
+branch 1's (``bell.relabel_branch1``) at the same (a, b), so one inequality
+serves both branches; test_branch1_inequality_is_branch0_conjugated proves it.
 """
 
 from __future__ import annotations
@@ -109,12 +111,6 @@ _KERNEL_RTOL = 1e-15
 _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
                                             quantum.SIGMA_Z.real)]
                    for g in (np.eye(2), quantum.H_OBS.real, quantum.V_OBS.real)])
-# the pi rotation about x on both qubits, which maps the branch-1 test to branch 0
-_RR = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
-
-
-class SymmetryViolationError(RuntimeError):
-    """Branch-1 verification failed far beyond tolerance (implementation bug)."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +137,13 @@ class _MarginEvaluator:
     involved is real, so the stacks are float64.
     """
 
-    def __init__(self, theta: float, family: str, branch: int = 0):
+    def __init__(self, theta: float, family: str):
         self.theta = float(theta)
         self.kind = _kind(theta, family)
-        self.branch = int(branch)
         self.warp = quantum.bob_warp(theta, family)
         self.b_ideal = self.warp.b_ideal
         self.c2 = math.cos(theta) ** 2
-        state = quantum.partial_entangled_state(theta, branch)
-        self._proj = quantum.projector(state).real
+        self._proj = quantum.projector(quantum.partial_entangled_state(theta)).real
         # the twirl is sum_ij x_i(a) y_j(b) twirl[i, j] with the factors
         # x = (wa, (1 - wa) [a <= pi/4], (1 - wa) [a > pi/4]) and y likewise
         # at b_ideal, which fold in the dephasing-axis selection of ``stacks``
@@ -173,13 +167,7 @@ class _MarginEvaluator:
                    + wa * (1.0 - wb) * self._twirl[0, sel_b]
                    + (1.0 - wa) * wb * self._twirl[sel_a, 0]
                    + (1.0 - wa) * (1.0 - wb) * self._twirl[sel_a, sel_b])
-        if self.branch == 0:
-            bops = bell.bell_operators(self.kind, a, b)
-        else:
-            # primed test: rotate the operator stack taken at pi/2 - a
-            base = bell.bell_operators(self.kind, np.pi / 2 - a, b)
-            bops = np.einsum("ij,...jk,lk->...il", _RR, base, _RR)
-        return twirled, bops
+        return twirled, bell.bell_operators(self.kind, a, b)
 
     def separable(self, s0: float, shift: float, a: np.ndarray,
                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,21 +178,20 @@ class _MarginEvaluator:
         order) at (a[r], b[k]) is sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's
         factors are the twirl's three and ``bell.alice_factors``; Bob's are
         the twirl's three, one per term of ``bell.bell_terms`` and a row of
-        ones that carries the shift. Branch 1 takes Alice's Bell factors at
-        pi/2 - a and conjugates each Pauli product by ``_RR``, as ``stacks`` does.
+        ones that carries the shift.
         """
         wa = np.atleast_1d(quantum.alice_dephasing_weight(a))
         wb = (1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0
         far_a, far_b = a > np.pi / 4, b > self.b_ideal
         x = np.vstack([wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a,
-                       bell.alice_factors(np.pi / 2 - a if self.branch else a)]).T
+                       bell.alice_factors(a)]).T
         terms, norm = bell.bell_terms(self.kind, b)
         y = np.vstack([wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b,
                        *(g for _, g, _ in terms), np.ones_like(b)])
         c = np.zeros((6, len(y), 4, 4))
         c[:3, :3] = self._twirl
         for t, (i, _, k) in enumerate(terms):
-            c[3 + i, 3 + t] = (-s0 / norm) * (_RR @ k @ _RR.T if self.branch else k)
+            c[3 + i, 3 + t] = (-s0 / norm) * k
         c[5, -1] = -shift * np.eye(4)
         return x, c[:, :, _LOWER[0], _LOWER[1]], y
 
@@ -313,11 +300,6 @@ def _peaks(f, meshgrids: list[Patch]) -> list[Peak]:
     return peaks
 
 
-def _peak(f, a: np.ndarray, b: np.ndarray) -> Peak:
-    """Largest value of f over the meshgrid of a and b, and where it is."""
-    return _peaks(f, [(a, b)])[0]
-
-
 def _patch_axis(center: float, h: float) -> np.ndarray:
     """_REFINE_POINTS angles across center +- h in [0, pi/2], less clipped copies."""
     x = np.clip(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0, np.pi / 2)
@@ -381,11 +363,6 @@ def _pivots_positive(planes) -> np.ndarray:
     return pivot > 0.0
 
 
-def _positive_definite(m: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a symmetric (..., 4, 4) stack passes ``_pivots_positive``."""
-    return _pivots_positive([m[..., i, j] for i, j in zip(*_LOWER)])
-
-
 def _planes(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lower-triangle planes (10, len(x), y.shape[1]) with the separable factors x, c, y.
 
@@ -393,17 +370,6 @@ def _planes(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
     (in ``_LOWER`` order) is the contiguous plane [e].
     """
     return np.einsum("ri,ije->erj", x, c) @ y
-
-
-def _lower_stack(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The planes of ``_planes`` as a stack [r, k, i, j], lower triangle filled.
-
-    The screen reads the planes directly; this form lines them up with
-    ``_MarginEvaluator.stacks``.
-    """
-    m = np.empty((4, 4, len(x), y.shape[1]))
-    m[_LOWER] = _planes(x, c, y)
-    return np.moveaxis(m, (0, 1), (2, 3))
 
 
 def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
@@ -460,10 +426,13 @@ def _screened_peaks(ev: _MarginEvaluator, meshgrids: list[Patch],
     return [(*peak, left) for peak, left in zip(_peaks(ev.slopes, solved), solved)]
 
 
-def _screened_peak(ev: _MarginEvaluator, a: np.ndarray, b: np.ndarray,
-                   guess: Peak) -> tuple[float, tuple[float, float], Patch]:
-    """``_screened_peaks`` on the one meshgrid of a and b."""
-    return _screened_peaks(ev, [(a, b)], [guess])[0]
+def _verified(ev: _MarginEvaluator, i_star: float, neg: float, at: tuple[float, float]) -> float:
+    """The worst margin -neg, found at ``at``; ChannelFamilyError below -VERIFY_TOL."""
+    if -neg < -VERIFY_TOL:
+        raise ChannelFamilyError(
+            f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
+            f"(a={at[0]:.6f}, b={at[1]:.6f}) for {ev.kind.family} at theta={ev.theta}")
+    return -neg
 
 
 def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels: int,
@@ -477,23 +446,19 @@ def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels:
         samples = [(a[[0, len(a) // 2, -1]], b[[0, len(b) // 2, -1]]) for a, b in meshgrids]
         return _screened_peaks(ev, meshgrids, _peaks(ev.slopes, samples))
 
-    s_grid, at, solved = _screened_peak(ev, _grid(n_a), _grid(n_b), guess)
+    s_grid, at, solved = _screened_peaks(ev, [(_grid(n_a), _grid(n_b))], [guess])[0]
     s_max, (bind_a, bind_b), patches = _refine(level_peaks, s_grid, at, n_a, n_b,
                                                refine_levels, ev.b_ideal)
     i_star = _cutoff(ev, s_max, (bind_a, bind_b))
     # every screened-out point keeps a margin above delta at I*, so the
     # solved meshgrids hold the worst one
-    neg, (wa, wb) = max(_peaks(lambda a, b: -ev.margins(i_star, a, b), [solved, *patches]),
-                        key=lambda peak: peak[0])
-    if -neg < -VERIFY_TOL:
-        raise ChannelFamilyError(
-            f"cutoff {i_star!r} fails verification: margin {-neg:.3e} at "
-            f"(a={wa:.6f}, b={wb:.6f}) for {ev.kind.family} at theta={ev.theta}")
+    worst = _verified(ev, i_star, *max(_peaks(lambda a, b: -ev.margins(i_star, a, b),
+                                              [solved, *patches]), key=lambda peak: peak[0]))
     s, mu = slope_and_intercept(ev.theta, i_star)
     return LinearBoundCertificate(
         theta=ev.theta, family=ev.kind.family, i_star=i_star, slope=s, intercept=mu,
         grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=VERIFY_TOL,
-        worst_margin=-neg, worst_a=bind_a, worst_b=bind_b,
+        worst_margin=worst, worst_a=bind_a, worst_b=bind_b,
         delta_variant=ev.warp.variant)
 
 
@@ -507,7 +472,7 @@ def find_cutoff(theta: float, family: str = "new",
     largest s_min over an ``n_a x n_b`` grid (at least 101 per axis), with
     ``refine_levels`` refinement passes around its maximum and around the
     ideal point, gives I* = 1 - sin^2 theta / max s_min, rounded up to the
-    first float whose slope covers that maximum.
+    first float whose slope covers that maximum; it serves both branches.
 
     The pencil is solved at the four corners of [0, pi/2]^2 for a guess s0
     and then only where ``_screen`` at s0 leaves points. A refinement level
@@ -526,31 +491,29 @@ def find_cutoff(theta: float, family: str = "new",
     grid = _check_grid(grid, refine_levels)
     ev = _MarginEvaluator(theta, family)
     ends = np.array([0.0, np.pi / 2])
-    return _screened_cutoff(ev, grid, refine_levels, _peak(ev.slopes, ends, ends))
+    return _screened_cutoff(ev, grid, refine_levels, _peaks(ev.slopes, [(ends, ends)])[0])
 
 
-def verify_branch1(cert: LinearBoundCertificate,
-                   grid: tuple[int, int] | None = None) -> float:
-    """Re-verify an accepted certificate against the second branch state.
+def verify_cutoff(cert: LinearBoundCertificate,
+                  grid: tuple[int, int] | None = None) -> float:
+    """Re-verify a certificate's operator inequality; return its worst margin.
 
-    Returns the worst margin at the certificate's I* of the branch-1
-    operator inequality over the grid (its own unless ``grid`` is given)
-    and its refinement patches; by the mirror symmetry in Alice's angle it
-    equals the branch-0 one, so an accepted certificate passes. Exact
-    margins are taken where ``_screen`` leaves points, or on all of a
-    meshgrid it clears, in one batch per refinement level; a point it
-    clears has a margin above delta less about 6e-15 (1 + s), so a
-    meshgrid's worst margin and where it lies (the next patch's centre)
-    are a full scan's whenever that margin is below this, as it is for
-    every ``find_cutoff`` certificate.
-    Raises SymmetryViolationError below -10 VERIFY_TOL (an implementation
-    bug, not a physical failure mode); DomainError for a ``delta_variant``
+    Scans the margins at the certificate's I*, both branches' margins (see
+    the module docstring), over the grid (its own unless ``grid`` is given)
+    and its refinement patches. Exact margins are taken where ``_screen``
+    leaves points, or on all of a meshgrid it clears, in one batch per
+    refinement level; a point it clears has a margin above delta less about
+    6e-15 (1 + s), so a meshgrid's worst margin and where it lies (the next
+    patch's centre) are a full scan's whenever that margin is below this,
+    as it is for every ``find_cutoff`` certificate.
+    Raises ChannelFamilyError, as ``find_cutoff``'s final scan does, for a
+    worst margin below -VERIFY_TOL; DomainError for a ``delta_variant``
     other than the angle's, a ``tol`` other than VERIFY_TOL or an
     ``i_star`` outside (0, 1); ValueError as ``find_cutoff`` for the grid.
     """
     n_a, n_b = _check_grid(grid if grid is not None else (cert.grid_a, cert.grid_b),
                            cert.refine_levels)
-    ev = _MarginEvaluator(cert.theta, cert.family, branch=1)
+    ev = _MarginEvaluator(cert.theta, cert.family)
     if ev.warp.variant != cert.delta_variant:
         raise DomainError(
             f"certificate records delta_variant={cert.delta_variant!r}, but "
@@ -568,8 +531,5 @@ def verify_branch1(cert: LinearBoundCertificate,
                 zip(_peaks(lambda a, b: -ev.margins(cert.i_star, a, b), left), left)]
 
     neg, at, _ = peaks([(_grid(n_a), _grid(n_b))])[0]
-    neg, _, _ = _refine(peaks, neg, at, n_a, n_b, cert.refine_levels, ev.b_ideal)
-    if -neg < -10.0 * VERIFY_TOL:
-        raise SymmetryViolationError(
-            f"branch-1 margin {-neg:.3e} violates the mirror symmetry")
-    return -neg
+    neg, at, _ = _refine(peaks, neg, at, n_a, n_b, cert.refine_levels, ev.b_ideal)
+    return _verified(ev, cert.i_star, neg, at)

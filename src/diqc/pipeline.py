@@ -49,6 +49,13 @@ def _check_range(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def _check_finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name}={value!r} is not a finite number")
+    return value
+
+
 def _check_cutoff(i_star: float) -> float:
     """The cutoff I* as a float, if it lies in (0, 1)."""
     i_star = float(i_star)
@@ -186,9 +193,10 @@ def input_fidelity_bound(beta: float, floor: bool = True) -> float:
     sqrt(1/2 + (beta - beta*) / (2 (2 sqrt 2 - beta*))) with
     beta* = 2 (8 + 7 sqrt 2)/17 ~ 2.106. With ``floor`` the result is
     clamped below by 1/sqrt(2), the fidelity achievable with no violation
-    at all; without it the raw value (down to 0) is returned.
+    at all; without it the raw value (down to 0) is returned. Raises
+    DomainError for a beta that is not a finite number.
     """
-    beta = float(beta)
+    beta = _check_finite(beta, "beta")
     if beta > CHSH_QUANTUM_BOUND + 1e-6:
         raise NonQuantumValueError(f"beta={beta!r} exceeds 2*sqrt(2)")
     if beta < -4.0 - 1e-9:
@@ -207,9 +215,10 @@ def output_fidelity_bound(i: float, theta: float, i_star: float,
 
     sqrt(cos^2 theta + (1 - cos^2 theta)(i - i*)/(1 - i*)). With ``floor``
     the result is clamped below by cos(theta), the largest Schmidt
-    coefficient of the branch target.
+    coefficient of the branch target. Raises DomainError naming ``i`` or
+    ``theta`` for one that is not a finite number.
     """
-    i = float(i)
+    i, theta = _check_finite(i, "i"), _check_finite(theta, "theta")
     if i > 1.0 + 1e-6:
         raise NonQuantumValueError(f"violation {i!r} exceeds the quantum bound 1")
     _check_cutoff(i_star)
@@ -268,10 +277,12 @@ def slope_and_intercept(theta: float, i_star: float) -> tuple[float, float]:
 
 def _pipeline(beta: float, i0: float, i1: float, p0: float, theta: float,
               cert: LinearBoundCertificate, floor: bool) -> FidelityCertificate:
-    for name, value in (("beta", beta), ("i0", i0), ("i1", i1), ("p0", p0)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name}={float(value)!r} is not a finite number")
-    if abs(cert.theta - theta) > 1e-9:
+    # input_fidelity_bound and combine_branches name beta and p0 themselves;
+    # output_fidelity_bound would call either violation i
+    for name, value in (("i0", i0), ("i1", i1)):
+        _check_finite(value, name)
+    # written so that a NaN theta fails it
+    if not abs(cert.theta - theta) <= 1e-9:
         raise DomainError(
             f"certificate is for theta={cert.theta}, asked to certify theta={theta}")
     f_in = input_fidelity_bound(beta, floor)
@@ -290,9 +301,11 @@ def certify_instrument(beta: float, i0: float, i1: float, p0: float,
 
     The input fidelity comes from the CHSH value, each branch fidelity from
     its violation through the certificate's cutoff (one cutoff serves both
-    branches by the mirror symmetry), the branches combine with square-root
-    probability weights, and input and output compose through the arccos
-    triangle inequality. The certificate must be for ``theta``.
+    branches: U = (XZ) (x) (XZ) conjugates branch 0's operator inequality
+    into branch 1's, as test_branch1_inequality_is_branch0_conjugated
+    proves), the branches combine with square-root probability weights, and
+    input and output compose through the arccos triangle inequality. The
+    certificate must be for ``theta``.
     """
     return _pipeline(beta, i0, i1, p0, theta, cert, floor=True)
 

@@ -1,8 +1,9 @@
 import time
 
+import numpy as np
 import pytest
 
-from diqc import certify
+from diqc import bell, certify, quantum
 
 
 class _CutoffSolver:
@@ -30,3 +31,33 @@ class _CutoffSolver:
 @pytest.fixture(scope="session")
 def cutoffs():
     return _CutoffSolver()
+
+
+def _branch1_bell_operator(theta, family, a, b):
+    # the relabelled (primed) branch-1 test at the operator level:
+    # (R x R) B(pi/2 - a, b) (R x R)^dag with R the pi rotation about x
+    rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI)
+    single = bell.new_bell_operator if family == "new" else bell.tilted_operator
+    return rr @ single(theta, np.pi / 2 - a, b) @ rr.conj().T
+
+
+def _branch1_margin(theta, family, i_star, a, b):
+    # smallest eigenvalue of branch 1's bound operator at one angle pair,
+    # built from the physical definition: the public channels applied to
+    # the branch-1 target, less the relabelled Bell operator
+    s, mu = certify.slope_and_intercept(theta, i_star)
+    target = quantum.projector(quantum.partial_entangled_state(theta, 1))
+    twirled = quantum.apply_one_sided(quantum.dephasing_alice(a), target, "alice")
+    twirled = quantum.apply_one_sided(quantum.dephasing_bob(b, theta, family), twirled, "bob")
+    m = twirled - s * _branch1_bell_operator(theta, family, a, b) - mu * np.eye(4)
+    return float(np.linalg.eigvalsh(m)[0])
+
+
+@pytest.fixture(scope="session")
+def branch1_bell_operator():
+    return _branch1_bell_operator
+
+
+@pytest.fixture(scope="session")
+def branch1_margin():
+    return _branch1_margin

@@ -7,7 +7,6 @@ from diqc import bell
 from diqc.bell import (
     BellKind,
     CorrelatorTable,
-    branch1_operator,
     brute_force_local_bound,
     brute_force_local_strategy,
     chsh_value,
@@ -248,18 +247,20 @@ def test_branch1_value_below_one_on_first_state():
     assert new_bell_value(t, theta) < 1.0 - 1e-3
 
 
-def test_relabel_matches_rotated_operator():
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, np.pi / 4])
+def test_relabel_matches_rotated_operator(theta, family, branch1_bell_operator):
     # the oracle that fixes the relabeling convention: the relabeled table
-    # value must equal the expectation of (R x R) B(pi/2 - a, b) (R x R)^dag
+    # value must equal the expectation of (R x R) B(pi/2 - a, b) (R x R)^dag,
+    # for the Bell operator of either family
+    value = new_bell_value if family == "new" else tilted_bell_value
     rng = np.random.default_rng(17)
-    theta = 0.5
     for _ in range(20):
         rho = random_density(rng)
         a, b = rng.uniform(0, np.pi / 2, size=2)
         t = relabel_branch1(correlators_from_state(rho, a, b))
-        table_val = new_bell_value(t, theta)
-        op_val = np.trace(branch1_operator(theta, a, b) @ rho).real
-        assert abs(table_val - op_val) < 1e-10
+        op_val = np.trace(branch1_bell_operator(theta, family, a, b) @ rho).real
+        assert abs(value(t, theta) - op_val) < 1e-10
 
 
 def test_correlators_of_maximally_mixed_state():

@@ -18,7 +18,7 @@ from diqc.certify import (
     operator_margin,
     output_fidelity_bound,
     slope_and_intercept,
-    verify_branch1,
+    verify_cutoff,
 )
 from diqc.quantum import DomainError
 
@@ -273,6 +273,19 @@ def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
         worst_margin=worst, worst_a=bind_a, worst_b=bind_b, delta_variant=ev.warp.variant)
 
 
+def _positive_definite(m):
+    # whether each matrix of a symmetric (..., 4, 4) stack passes the screen's LDL^T
+    return certify._pivots_positive([m[..., i, j] for i, j in zip(*certify._LOWER)])
+
+
+def _lower_stack(x, c, y):
+    # the screen's planes as a stack [r, k, i, j] with the lower triangle
+    # filled, lined up with _MarginEvaluator.stacks
+    m = np.empty((4, 4, len(x), y.shape[1]))
+    m[certify._LOWER] = certify._planes(x, c, y)
+    return np.moveaxis(m, (0, 1), (2, 3))
+
+
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screened_cutoff_equals_full_grid_solve(theta, family):
@@ -299,7 +312,7 @@ def test_low_slope_guess_recovers_grid_maximum(theta, family):
     expected = _full_grid_cutoff(theta, family)
     for factor in (0.5, 0.9):
         guess = (factor * peak[0], peak[1])
-        assert certify._screened_peak(ev, a, b, guess)[:2] == peak
+        assert certify._screened_peaks(ev, [(a, b)], [guess])[0][:2] == peak
         assert certify._screened_cutoff(ev, (201, 201), 2, guess) == expected
 
 
@@ -334,31 +347,29 @@ def test_screen_clearing_every_point_names_its_input():
     # only a guess above the maximum can clear every point of a meshgrid
     ev = certify._MarginEvaluator(0.6, "tilted")
     a, b = np.linspace(0.0, 0.2, 9), np.linspace(1.3, np.pi / 2, 9)
-    s, at = certify._peak(ev.slopes, a, b)
-    assert certify._screened_peak(ev, a, b, (0.5 * s, at))[:2] == (s, at)
+    s, at = certify._peaks(ev.slopes, [(a, b)])[0]
+    assert certify._screened_peaks(ev, [(a, b)], [(0.5 * s, at)])[0][:2] == (s, at)
     with pytest.raises(ChannelFamilyError, match=r"9x9 points.*tilted at theta=0\.6"):
-        certify._screened_peak(ev, a, b, (1.5 * s, at))
+        certify._screened_peaks(ev, [(a, b)], [(1.5 * s, at)])
 
 
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screen_planes_match_operator_stacks(theta, family):
     # the lower triangle the screen builds from separable factors against
-    # twirled - s0 bops - shift from the stacks, at the corner guess's s0,
-    # for the branch-0 operator the solver screens and the branch-1 one
-    # that verify_branch1 screens
-    for branch in (0, 1):
-        ev = certify._MarginEvaluator(theta, family, branch)
-        ends = np.array([0.0, np.pi / 2])
-        guess = certify._peak(ev.slopes, ends, ends)
-        s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
-        shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
-        a = b = np.linspace(0.0, np.pi / 2, 201)
-        planes = certify._lower_stack(*ev.separable(s0, shift, a, b))
-        twirled, bops = ev.stacks(a, b)
-        expected = twirled - s0 * bops - shift * np.eye(4)
-        i, j = certify._LOWER
-        assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
+    # twirled - s0 bops - shift from the stacks, at the corner guess's s0;
+    # find_cutoff and verify_cutoff screen this one operator
+    ev = certify._MarginEvaluator(theta, family)
+    ends = np.array([0.0, np.pi / 2])
+    guess = certify._peaks(ev.slopes, [(ends, ends)])[0]
+    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
+    shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
+    a = b = np.linspace(0.0, np.pi / 2, 201)
+    planes = _lower_stack(*ev.separable(s0, shift, a, b))
+    twirled, bops = ev.stacks(a, b)
+    expected = twirled - s0 * bops - shift * np.eye(4)
+    i, j = certify._LOWER
+    assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
 
 
 @pytest.mark.parametrize("theta, family, i_star, worst_margin", [
@@ -471,24 +482,69 @@ def test_positive_definite_mask_matches_eigenvalues():
     m = 0.5 * (m + m.swapaxes(-1, -2))
     expected = np.linalg.eigvalsh(m)[..., 0] > 0
     assert 0 < expected.sum() < expected.size
-    np.testing.assert_array_equal(certify._positive_definite(m), expected)
+    np.testing.assert_array_equal(_positive_definite(m), expected)
+
+
+# ---- one inequality for both branches ----
+
+# U = (XZ) (x) (XZ), a signed permutation proportional to Y (x) Y; RR is the
+# pi rotation about x on both qubits that defines the relabelled branch-1 test
+_XZ = quantum.SIGMA_X.real @ quantum.SIGMA_Z.real
+_U = np.kron(_XZ, _XZ)
+_RR = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_branch1_inequality_is_branch0_conjugated(theta, family, cutoffs, branch1_margin):
+    # branch 1's bound operator is U (branch 0's) U^T at the same (a, b), so
+    # the two have the same margins and one cutoff certifies both branches
+    p0, p1 = (quantum.projector(quantum.partial_entangled_state(theta, k)).real
+              for k in (0, 1))
+    # (a) the target and each of the nine twirl terms, exactly
+    assert np.array_equal(_U @ p0 @ _U.T, p1)
+    twirl0 = certify._MarginEvaluator(theta, family)._twirl
+    twirl1 = np.array([[g @ p1 @ g for g in row] for row in certify._LIFTS])
+    assert np.array_equal(_U @ twirl0 @ _U.T, twirl1)
+    # (b) each Pauli product, up to the sign its Alice factor takes under
+    # a -> pi/2 - a, exactly: p is even there and q odd
+    terms, _ = bell.bell_terms(bell.BellKind(family, theta), np.array([0.3]))
+    sign = {0: 1.0, 1: -1.0, 2: 1.0}
+    for i, _, k in terms:
+        assert np.array_equal(_U @ k @ _U.T, sign[i] * (_RR @ k @ _RR.T))
+    # (c) that sign
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.0, np.pi / 2, size=50)
+    p, q, one = bell.alice_factors(a)
+    mirrored = bell.alice_factors(np.pi / 2 - a)
+    assert np.max(np.abs(mirrored - np.stack([p, -q, one]))) <= 1e-15
+    # (d) so the margins agree with branch 1's physical definition pointwise
+    cert = cutoffs.get(theta, family)
+    b = rng.uniform(0.0, np.pi / 2, size=50)
+    for x, y in zip(a, b):
+        expected = branch1_margin(theta, family, cert.i_star, x, y)
+        assert abs(operator_margin(theta, family, cert.i_star, x, y) - expected) \
+            <= 1e-14 * (1.0 + cert.slope)
+
+
+# ---- verify_cutoff, the re-verification that covers branch 1 by the identity ----
 
 
 def test_verify_branch1_passes(small_cert):
-    worst = verify_branch1(small_cert, grid=(101, 101))
+    worst = verify_cutoff(small_cert, grid=(101, 101))
     assert worst >= -1e-8
 
 
 def test_verify_branch1_rejects_wrong_delta_variant(small_cert):
     relabelled = dataclasses.replace(small_cert, delta_variant="identity")
     with pytest.raises(DomainError, match="delta_variant"):
-        verify_branch1(relabelled, grid=(101, 101))
+        verify_cutoff(relabelled, grid=(101, 101))
 
 
-def _unscreened_branch1(cert, grid):
+def _unscreened_scan(cert, grid):
     # reference verification with no screen: exact margins at every point
     # of the grid and of every refinement patch
-    ev = certify._MarginEvaluator(cert.theta, cert.family, branch=1)
+    ev = certify._MarginEvaluator(cert.theta, cert.family)
     neg, _, _ = _unscreened_search(lambda a, b: -ev.margins(cert.i_star, a, b), grid,
                                    cert.refine_levels, ev.b_ideal)
     return -neg
@@ -503,8 +559,8 @@ def _unscreened_branch1(cert, grid):
 def test_verify_branch1_equals_unscreened_scan(theta, family, grid, refine_levels,
                                                verify_grid):
     cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
-    expected = _unscreened_branch1(cert, verify_grid or grid)
-    assert verify_branch1(cert, grid=verify_grid).hex() == expected.hex()
+    expected = _unscreened_scan(cert, verify_grid or grid)
+    assert verify_cutoff(cert, grid=verify_grid).hex() == expected.hex()
 
 
 def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
@@ -523,7 +579,7 @@ def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
         return left
 
     monkeypatch.setattr(certify, "_screen", recording_screen)
-    assert verify_branch1(cert).hex() == _unscreened_branch1(cert, (201, 201)).hex()
+    assert verify_cutoff(cert).hex() == _unscreened_scan(cert, (201, 201)).hex()
     assert len(cleared) == 5 and 0 < sum(cleared) < 5
 
 
@@ -541,7 +597,7 @@ def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
 
     cert = find_cutoff(0.6, "new")
     monkeypatch.setattr(bell, "bell_operators", counting_operators)
-    verify_branch1(cert, grid=(n, n))
+    verify_cutoff(cert, grid=(n, n))
     assert sum(built) <= 50
 
 
@@ -550,13 +606,31 @@ def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
                                           ("i_star", 1.5), ("i_star", 0.0)])
 def test_verify_branch1_rejects_untrusted_fields(small_cert, field, value):
     with pytest.raises(DomainError, match=field):
-        verify_branch1(dataclasses.replace(small_cert, **{field: value}), grid=(101, 101))
+        verify_cutoff(dataclasses.replace(small_cert, **{field: value}), grid=(101, 101))
 
 
 def test_verify_branch1_rejects_cutoff_far_below_true_one(small_cert):
     low = dataclasses.replace(small_cert, i_star=0.5)
-    with pytest.raises(certify.SymmetryViolationError):
-        verify_branch1(low, grid=(101, 101))
+    with pytest.raises(ChannelFamilyError, match=r"fails verification: margin -.*\(a=.*b=.*\)"):
+        verify_cutoff(low, grid=(101, 101))
+
+
+@pytest.mark.parametrize("theta, family", [(0.05, "new"), (0.3, "tilted"), (np.pi / 4, "new")])
+def test_verify_cutoff_passes_default_certificates_finely(theta, family, cutoffs):
+    # criterion 05 re-verifies ten default certificates on their own grid
+    assert verify_cutoff(cutoffs.get(theta, family), grid=(801, 801)) >= -certify.VERIFY_TOL
+
+
+@pytest.mark.parametrize("theta, family", [(0.05, "tilted"), (0.6, "new"), (np.pi / 4, "new")])
+def test_verify_cutoff_rejects_a_slightly_lowered_cutoff(theta, family, cutoffs):
+    cert = cutoffs.get(theta, family)
+    i_star = cert.i_star - 1e-6 * (1.0 - cert.i_star)
+    s, mu = slope_and_intercept(theta, i_star)
+    lowered = dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu)
+    with pytest.raises(ChannelFamilyError,
+                       match=rf"cutoff {i_star!r} fails verification: margin -.* at "
+                             rf"\(a=.*, b=.*\) for {family} at theta={theta}"):
+        verify_cutoff(lowered)
 
 
 @pytest.mark.parametrize("grid, refine_levels", [((0, 0), 2), ((1, 1), 2), ((2, 2), 2),
@@ -564,7 +638,7 @@ def test_verify_branch1_rejects_cutoff_far_below_true_one(small_cert):
 def test_verify_branch1_checks_grid_as_find_cutoff_does(small_cert, grid, refine_levels):
     cert = dataclasses.replace(small_cert, refine_levels=refine_levels)
     with pytest.raises(ValueError, match="at least 101|refine_levels"):
-        verify_branch1(cert, grid=grid)
+        verify_cutoff(cert, grid=grid)
     with pytest.raises(ValueError, match="at least 101|refine_levels"):
         find_cutoff(0.6, "new", grid=grid, refine_levels=refine_levels)
 
@@ -581,13 +655,13 @@ def test_grid_check_names_unusable_grid_or_depth(small_cert, grid, refine_levels
         find_cutoff(0.6, "new", grid=grid, refine_levels=refine_levels)
     cert = dataclasses.replace(small_cert, refine_levels=refine_levels)
     with pytest.raises(ValueError, match=name):
-        verify_branch1(cert, grid=grid)
+        verify_cutoff(cert, grid=grid)
 
 
 def test_grid_check_takes_numpy_integers(small_cert):
     grid = (np.int64(101), np.int32(101))
     assert find_cutoff(0.6, "new", grid=grid, refine_levels=np.int64(2)) == small_cert
-    assert verify_branch1(small_cert, grid=grid) == verify_branch1(small_cert, grid=(101, 101))
+    assert verify_cutoff(small_cert, grid=grid) == verify_cutoff(small_cert, grid=(101, 101))
 
 
 @pytest.mark.parametrize("i_star, a, b, name", [
@@ -600,14 +674,15 @@ def test_operator_margin_rejects_unusable_input(i_star, a, b, name):
         operator_margin(0.6, "new", i_star, a, b)
 
 
-def test_branch_margins_mirror_in_alice_angle(small_cert):
-    ev0 = certify._MarginEvaluator(0.6, "new", branch=0)
-    ev1 = certify._MarginEvaluator(0.6, "new", branch=1)
+def test_branch_margins_mirror_in_alice_angle(small_cert, branch1_margin):
+    # branch 1's margin at (a, b), from its physical definition, is branch
+    # 0's at (pi/2 - a, b): the branch identity and the mirror in a combined
+    ev = certify._MarginEvaluator(0.6, "new")
     rng = np.random.default_rng(13)
     a = rng.uniform(0, np.pi / 2, size=20)
     b = rng.uniform(0, np.pi / 2, size=20)
-    m1 = np.diagonal(ev1.margins(small_cert.i_star, a, b))
-    m0 = np.diagonal(ev0.margins(small_cert.i_star, np.pi / 2 - a, b))
+    m1 = [branch1_margin(0.6, "new", small_cert.i_star, x, y) for x, y in zip(a, b)]
+    m0 = ev.margins(small_cert.i_star, (np.pi / 2 - a)[:, None], b[:, None])[:, 0]
     assert np.max(np.abs(m1 - m0)) < 1e-9
 
 

@@ -100,3 +100,23 @@ def test_raw_pipeline_names_a_non_finite_violation(cert):
 def test_noise_model_names_a_non_finite_angle(name):
     with pytest.raises(DomainError, match=f"^{name}=nan"):
         NoiseModel(**{name: math.nan})
+
+
+
+def test_pipeline_names_a_nan_theta(cert):
+    with pytest.raises(DomainError, match="theta=nan"):
+        certify_instrument(2.7, 0.97, 0.95, 0.45, math.nan, cert)
+    with pytest.raises(DomainError, match="theta=nan"):
+        raw_pipeline_bound(2.7, 0.97, math.nan, cert)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.6, 0.9), "i"), ((0.95, math.nan, 0.9), "theta")])
+def test_output_fidelity_bound_names_a_nan_input(args, name):
+    with pytest.raises(DomainError, match=f"^{name}=nan"):
+        pipeline.output_fidelity_bound(*args)
+
+
+def test_input_fidelity_bound_names_a_nan_beta():
+    with pytest.raises(DomainError, match="^beta=nan"):
+        pipeline.input_fidelity_bound(math.nan)
