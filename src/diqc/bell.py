@@ -243,6 +243,7 @@ _XX = np.kron(_X, _X)
 _ZI = np.kron(_Z, _I)
 _XI = np.kron(_X, _I)
 _IZ = np.kron(_I, _Z)
+_SQRT2 = np.sqrt(2.0)
 
 
 def alice_factors(a: np.ndarray) -> np.ndarray:
@@ -253,12 +254,76 @@ def alice_factors(a: np.ndarray) -> np.ndarray:
     terms that act on Bob alone. Returns shape (3,) + a.shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    p = (np.cos(a) + np.sin(a)) / np.sqrt(2.0)
-    q = (np.cos(a) - np.sin(a)) / np.sqrt(2.0)
-    return np.stack([p, q, np.ones_like(a)])
+    cos, sin = np.cos(a), np.sin(a)
+    return np.array([(cos + sin) / _SQRT2, (cos - sin) / _SQRT2, np.ones_like(a)])
 
 
 _P, _Q, _ONE = 0, 1, 2
+# rows of bob_factors
+_SIN, _COS, _ONES = 0, 1, 2
+
+
+def bob_factors(b: np.ndarray) -> np.ndarray:
+    """Bob's coefficient rows (sin b, cos b, 1) over the angle array b.
+
+    B_0 - B_1 = 2 sin(b) sz and B_0 + B_1 = 2 cos(b) sx; the row of ones
+    carries the terms that act on Alice alone. Returns shape (3,) + b.shape.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    return np.array([np.sin(b), np.cos(b), np.ones_like(b)])
+
+
+class BellTerms:
+    """Separable form of one kind's Bell operator, its constants fixed once.
+
+    B(a, b) = sum_t alice_factors(a)[i_t] g_t(b) K_t / norm, where
+    g_t(b) = bob_factors(b)[j_t] * m_t / d_t and each K_t is a fixed real
+    Pauli product. The terms are A_0 (x) sz under B_0 - B_1, A_1 (x) sx
+    under B_0 + B_1, then A_0 (x) identity (and, for 'new', identity (x)
+    (B_0 - B_1)), in the summation order of ``operators``.
+    """
+
+    def __init__(self, kind: BellKind):
+        if kind.family == "new":
+            sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
+            diff, plus = (_SIN, 1.0, 2.0 * sb_t), (_COS, s2, 2.0 * cb_t)
+            marg = (_ONES, c2 / 4.0, 1.0)
+            terms = [(_P, *diff, _ZZ), (_Q, *diff, _XZ), (_Q, *plus, _ZX), (_P, *plus, _XX),
+                     (_P, *marg, _ZI), (_Q, *marg, _XI), (_ONE, _SIN, c2, 4.0 * sb_t, _IZ)]
+            self.norm = 1.0
+        elif kind.family == "tilted":
+            alpha = tilted_alpha(kind.theta)
+            diff, plus, marg = (_SIN, 2.0, 1.0), (_COS, 2.0, 1.0), (_ONES, alpha, 1.0)
+            terms = [(_P, *diff, _ZZ), (_Q, *diff, _XZ), (_Q, *plus, _ZX), (_P, *plus, _XX),
+                     (_P, *marg, _ZI), (_Q, *marg, _XI)]
+            self.norm = float(np.sqrt(8.0 + 2.0 * alpha * alpha))
+        else:
+            raise DomainError("chsh has no single-parameter operator form here")
+        alice, bob, scale, divisor, paulis = zip(*terms)
+        self.alice, self.bob = np.array(alice), np.array(bob)
+        self.scale, self.divisor = np.array(scale), np.array(divisor)
+        self.paulis = np.array(paulis)
+
+    def factors(self, b: np.ndarray) -> np.ndarray:
+        """The rows g_t(b), shape (terms,) + b.shape (at least 1-D)."""
+        rows = bob_factors(b)[self.bob]
+        shape = (-1,) + (1,) * (rows.ndim - 1)
+        return rows * self.scale.reshape(shape) / self.divisor.reshape(shape)
+
+    def operators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Bell operators at the angle pairs of a and b, which broadcast.
+
+        Returns a real array of the broadcast shape plus (4, 4). Each matrix
+        is the same elementwise arithmetic on its own pair whatever the
+        shape around it: the products alice_factors[i_t] g_t K_t, summed in
+        term order, divided by the norm.
+        """
+        f = (alice_factors(a)[self.alice] * self.factors(b))[..., None, None]
+        # term by term, so that at most two stacks are alive at once
+        out = f[0] * self.paulis[0]
+        for g, k in zip(f[1:], self.paulis[1:]):
+            out += g * k
+        return out / self.norm
 
 
 def bell_terms(kind: BellKind,
@@ -267,44 +332,19 @@ def bell_terms(kind: BellKind,
 
     Returns the terms (i, g, K) and a normalization n such that
     B(a, b) = sum of alice_factors(a)[i] * g(b) * K over the terms, divided
-    by n. Each K is a fixed real Pauli product and each g has the shape of
-    b. The term order is the summation order of ``bell_operators``.
+    by n; see ``BellTerms``.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    sb, cb = np.sin(b), np.cos(b)
-    # A_0 (x) sz under B0 - B1 = 2 sin(b) sz, A_1 (x) sx under
-    # B0 + B1 = 2 cos(b) sx, then A_0 (x) identity
-    if kind.family == "new":
-        sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
-        t_diff = sb / (2.0 * sb_t)
-        t_sum = cb * s2 / (2.0 * cb_t)
-        marg = np.full_like(b, c2 / 4.0)
-        return [(_P, t_diff, _ZZ), (_Q, t_diff, _XZ), (_Q, t_sum, _ZX), (_P, t_sum, _XX),
-                (_P, marg, _ZI), (_Q, marg, _XI),
-                (_ONE, c2 * sb / (4.0 * sb_t), _IZ)], 1.0
-    if kind.family == "tilted":
-        alpha = tilted_alpha(kind.theta)
-        t_diff, t_sum, marg = 2.0 * sb, 2.0 * cb, np.full_like(b, alpha)
-        return [(_P, t_diff, _ZZ), (_Q, t_diff, _XZ), (_Q, t_sum, _ZX), (_P, t_sum, _XX),
-                (_P, marg, _ZI), (_Q, marg, _XI)], float(np.sqrt(8.0 + 2.0 * alpha * alpha))
-    raise DomainError("chsh has no single-parameter operator form here")
+    terms = BellTerms(kind)
+    return list(zip(terms.alice.tolist(), terms.factors(b), terms.paulis)), terms.norm
 
 
 def bell_operators(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bell operators at the angle pairs of a and b, which broadcast.
 
-    Returns a real array of the broadcast shape plus (4, 4), summed from the
-    terms of ``bell_terms`` in their order, so each matrix is the same
-    elementwise arithmetic on its own pair whatever the shape around it;
-    agrees with the single-point constructors to machine precision.
+    ``BellTerms(kind).operators(a, b)``; agrees with the single-point
+    constructors to machine precision.
     """
-    fa = alice_factors(a)
-    terms, norm = bell_terms(kind, b)
-    (i, g, k), *rest = terms
-    out = (fa[i] * g)[..., None, None] * k
-    for i, g, k in rest:
-        out += (fa[i] * g)[..., None, None] * k
-    return out / norm
+    return BellTerms(kind).operators(a, b)
 
 
 def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,17 +25,20 @@ sets I* = 1 - sin^2 theta / max s_min directly; there is no search over I*.
 Only a handful of grid points can bind, so the pencil is not solved
 everywhere. Exact slopes at the four corners of [0, pi/2]^2 give a guess
 s0; the corners are grid points, so s0 <= max s_min, and at every default
-angle the grid maximum sits at a corner. One pass over the full grid then
+angle the grid maximum sits at a corner. One pass over half the grid then
 screens out every point whose operator (T - 1) + s0 (1 - B) - delta is
 positive definite, tested by an unpivoted LDL^T factorization.
 
 The screen builds no 4x4 operator stacks. The operator is separable,
 T - s0 B - mu0 = sum_ij x_i(a) y_j(b) C_ij, with six factors of a (the
-twirl's three and Alice's (p, q, 1)), ten or eleven of b and fixed real 4x4
-matrices C_ij, so one contraction and one matrix product give its ten
-lower-triangle entries for a block of grid rows as a (10, rows, cols)
-array of contiguous planes, and the LDL^T runs on those planes entry by
-entry. This is sound for four reasons:
+twirl's three and Alice's (p, q, 1)), six of b (the twirl's three and
+Bob's (sin b, cos b, 1)) and fixed real 4x4 matrices C_ij, so one
+contraction and one matrix product give its ten lower-triangle entries for
+a block of grid rows as a (10, rows, cols) array of contiguous planes, and
+the LDL^T runs on those planes entry by entry. The grid's a-axis is its own
+mirror image under a -> pi/2 - a, so only its rows with a <= pi/4 are
+factored and each other row takes the verdict of its partner. This is
+sound for five reasons:
 
 * the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
   1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
@@ -46,15 +49,29 @@ entry. This is sound for four reasons:
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
   of Numerical Algorithms, Thm 10.3), also far below delta;
-* every remaining point, which includes every point with s_min >= s0 and
-  every point where 1 - T leaks into the kernel of 1 - B, is solved exactly.
+* U = Z (x) Z maps the operator at (a, b) to the one at (pi/2 - a, b):
+  U fixes the target, swaps Alice's dephasing axes H and V (the sides of
+  pi/4) and squares away the sign Z gives Bob's X; Alice's weight and p are
+  even under a -> pi/2 - a while q is odd, and U K U = -K exactly for the
+  Bell terms that carry q, +K for the others
+  (test_operator_mirrors_in_alice_angle). So mirrored points have the same
+  margins. A default grid's partner misses pi/2 - a by at most 2.5e-16,
+  which moves the operator by about 1e-15 (1 + s0), and ``_mirror_rows``
+  accepts a miss of at most ``_MIRROR_ATOL`` = 1e-15, about 4e-15 (1 + s0):
+  again far below delta. Only a point within such a miss of pi/4 can pick
+  the same dephasing axis as its partner, and there 1 - wa is roundoff;
+* every remaining point, mirrored ones included, which includes every point
+  with s_min >= s0 and every point where 1 - T leaks into the kernel of
+  1 - B, is solved exactly at its own angles.
 
 The certificate is therefore the one a full-grid solve gives for any guess
 at most the grid maximum; a poor guess only costs time. Each refinement
 patch is screened the same way from the exact maximum over its sample
 {first, middle, last}^2, which is at most the patch maximum, so that
-maximum and where it lies (the next patch's centre) stay the same. A final
-margin scan at I* over the solved meshgrids alone confirms the certificate.
+maximum and where it lies (the next patch's centre) stay the same; a
+patch's rows are halved too when its a-axis is mirror-symmetric, as the
+first patch around the ideal point is. A final margin scan at I* over the
+solved meshgrids alone confirms the certificate.
 
 The exact work is batched as far as its data dependencies allow: a batched
 slope call takes about 0.18 ms for one point and 7 us for each further one
@@ -62,12 +79,13 @@ slope call takes about 0.18 ms for one point and 7 us for each further one
 here. The stacks take angle arrays that broadcast, so the points of
 several meshgrids go to one call as one point list. A refinement level's
 patches depend only on the level before, so a level makes two solves,
-both patches' samples and then every point their own screens leave, and
-the final scan is one call. The batching cannot move the certificate:
-each matrix comes from the same elementwise arithmetic on its own angle
-pair wherever it sits, LAPACK factors each 4x4 of a batch on its own, and
-ties break row-major within a meshgrid and then in meshgrid order, a later
-meshgrid winning only with a strictly larger value.
+both patches' samples and then every point their own screens leave, with
+one LDL^T pass over both patches between them, and the final scan is one
+call. The batching cannot move the certificate: each matrix comes from the
+same elementwise arithmetic on its own angle pair wherever it sits, LAPACK
+factors each 4x4 of a batch on its own, and ties break row-major within a
+meshgrid and then in meshgrid order, a later meshgrid winning only with a
+strictly larger value.
 
 The same screen, at a certificate's own slope and intercept, lets
 `verify_cutoff` re-verify it at any resolution in milliseconds. The
@@ -99,6 +117,7 @@ _REFINE_POINTS = 17
 _BLOCK_MATRICES = 16 * 201
 # lower triangle of a 4x4 matrix, the entries the screen builds
 _LOWER = np.tril_indices(4)
+_EYE = np.eye(4)
 # the screen clears a point when its operator exceeds delta = this * (1 + s0),
 # far above the errors of building and factoring it, about 1e-15 and 5e-15
 # times its norm, which is at most ||1 - T|| + s0 ||1 - B|| <= 2 (1 + s0)
@@ -106,11 +125,20 @@ _SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
 _KERNEL_RTOL = 1e-15
+# a meshgrid axis mirrors onto itself under a -> pi/2 - a when each angle and
+# its partner from the other end sum to pi/2 within this: the default grids
+# miss by at most 2.5e-16, and a miss of this size moves the operator by
+# about 4e-15 (1 + s0), far inside delta
+_MIRROR_ATOL = 1e-15
 # lifted products of (1, Alice's dephasing axes) with (1, Bob's): conjugating
 # the target by entry [i, j] gives the twirl's term for factors i and j
 _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
                                             quantum.SIGMA_Z.real)]
                    for g in (np.eye(2), quantum.H_OBS.real, quantum.V_OBS.real)])
+# the four matrices the twirl mixes at a point, [term, a > pi/4, b > b_ideal],
+# as indices into (P, twirl[0, 0], ..., twirl[2, 2]): P, twirl[0, j],
+# twirl[i, 0] and twirl[i, j] with i and j the axes on either side
+_MIXES = np.array([[[0, 0], [0, 0]], [[2, 3], [2, 3]], [[4, 4], [7, 7]], [[5, 6], [8, 9]]])
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +160,16 @@ def _kind(theta: float, family: str) -> BellKind:
 class _MarginEvaluator:
     """Margins and pencil slopes of the operator inequality, vectorized.
 
-    Precomputes everything that does not depend on the angles: the target
-    projector and its conjugations by the dephasing axes. Every operator
-    involved is real, so the stacks are float64.
+    Precomputes everything that depends on (theta, family) alone: the
+    target projector and its conjugations by the dephasing axes, the Bell
+    terms and the screen's coefficient tables. Every operator involved is
+    real, so the stacks are float64.
     """
 
     def __init__(self, theta: float, family: str):
         self.theta = float(theta)
         self.kind = _kind(theta, family)
+        self.bell = bell.BellTerms(self.kind)
         self.warp = quantum.bob_warp(theta, family)
         self.b_ideal = self.warp.b_ideal
         self.c2 = math.cos(theta) ** 2
@@ -147,7 +177,23 @@ class _MarginEvaluator:
         # the twirl is sum_ij x_i(a) y_j(b) twirl[i, j] with the factors
         # x = (wa, (1 - wa) [a <= pi/4], (1 - wa) [a > pi/4]) and y likewise
         # at b_ideal, which fold in the dephasing-axis selection of ``stacks``
-        self._twirl = np.array([[g @ self._proj @ g for g in row] for row in _LIFTS])
+        self._twirl = _LIFTS @ self._proj @ _LIFTS
+        self._mixes = np.concatenate([self._proj[None], self._twirl.reshape(9, 4, 4)])[_MIXES]
+        # separable's coefficients c0 - s0 c1 - shift c2 over Alice's factors
+        # (twirl's three, alice_factors) and Bob's (twirl's three, bob_factors)
+        terms = self.bell
+        c = np.zeros((3, 6, 6, 10))
+        c[0, :3, :3] = self._twirl[..., _LOWER[0], _LOWER[1]]
+        np.add.at(c[1], (3 + terms.alice, 3 + terms.bob),
+                  (terms.scale / terms.divisor / terms.norm)[:, None]
+                  * terms.paulis[:, _LOWER[0], _LOWER[1]])
+        c[2, 5, 5] = _EYE[_LOWER]
+        self._coeffs = c
+
+    def _weights(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's dephasing weight at a and Bob's at b, which is hers at the warped b."""
+        w = quantum.alice_dephasing_weight(np.concatenate([a.ravel(), self.warp(b).ravel()]))
+        return w[:a.size].reshape(a.shape), w[a.size:].reshape(b.shape)
 
     def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channel-twirled projector stack and Bell stack at the angle pairs.
@@ -157,43 +203,38 @@ class _MarginEvaluator:
         stacks have shape (len(a), len(b), 4, 4), and a point list passes
         two equal-length (n, 1) columns. Every factor is elementwise in its
         own angle, so a matrix's bits do not depend on the points beside it.
+        The twirl is wa wb P + wa (1 - wb) twirl[0, j] + (1 - wa) wb
+        twirl[i, 0] + (1 - wa) (1 - wb) twirl[i, j], summed in that order,
+        with i and j the dephasing axes on either side of pi/4 and b_ideal.
         """
         a, b = _pairs(a, b)
-        wa = quantum.alice_dephasing_weight(a)[..., None, None]
-        wb = ((1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0)[..., None, None]
-        sel_a = 1 + (a > np.pi / 4)
-        sel_b = 1 + (b > self.b_ideal)
-        twirled = (wa * wb * self._proj
-                   + wa * (1.0 - wb) * self._twirl[0, sel_b]
-                   + (1.0 - wa) * wb * self._twirl[sel_a, 0]
-                   + (1.0 - wa) * (1.0 - wb) * self._twirl[sel_a, sel_b])
-        return twirled, bell.bell_operators(self.kind, a, b)
+        wa, wb = self._weights(a, b)
+        weights = np.array([wa, 1.0 - wa])[:, None] * np.array([wb, 1.0 - wb])
+        terms = (weights.reshape((4,) + weights.shape[2:])[..., None, None]
+                 * self._mixes[:, (a > np.pi / 4).astype(int), (b > self.b_ideal).astype(int)])
+        return terms[0] + terms[1] + terms[2] + terms[3], self.bell.operators(a, b)
 
-    def separable(self, s0: float, shift: float, a: np.ndarray,
-                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Separable factors of the operator T - s0 B - shift on the meshgrid.
+    def separable(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Separable factors of the operators on the meshgrid of a and b.
 
-        Returns x of shape (len(a), 6), c of shape (6, n, 10) and y of shape
-        (n, len(b)) such that entry e of the lower triangle (in ``_LOWER``
-        order) at (a[r], b[k]) is sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's
-        factors are the twirl's three and ``bell.alice_factors``; Bob's are
-        the twirl's three, one per term of ``bell.bell_terms`` and a row of
-        ones that carries the shift.
+        Returns x of shape (len(a), 6) and y of shape (6, len(b)) such that,
+        with c = ``coefficients(s0, shift)``, entry e of the lower triangle
+        (in ``_LOWER`` order) of T - s0 B - shift at (a[r], b[k]) is
+        sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's factors are the twirl's
+        three and ``bell.alice_factors``; Bob's are the twirl's three and
+        ``bell.bob_factors``, whose row of ones also carries the shift.
         """
-        wa = np.atleast_1d(quantum.alice_dephasing_weight(a))
-        wb = (1.0 + quantum.dephasing_profile(self.warp(b))) / 2.0
+        wa, wb = self._weights(a, b)
         far_a, far_b = a > np.pi / 4, b > self.b_ideal
-        x = np.vstack([wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a,
-                       bell.alice_factors(a)]).T
-        terms, norm = bell.bell_terms(self.kind, b)
-        y = np.vstack([wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b,
-                       *(g for _, g, _ in terms), np.ones_like(b)])
-        c = np.zeros((6, len(y), 4, 4))
-        c[:3, :3] = self._twirl
-        for t, (i, _, k) in enumerate(terms):
-            c[3 + i, 3 + t] = (-s0 / norm) * k
-        c[5, -1] = -shift * np.eye(4)
-        return x, c[:, :, _LOWER[0], _LOWER[1]], y
+        x = np.concatenate([[wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a],
+                            bell.alice_factors(a)]).T
+        y = np.concatenate([[wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b], bell.bob_factors(b)])
+        return x, y
+
+    def coefficients(self, s0: float, shift: float) -> np.ndarray:
+        """The (6, 6, 10) coefficients c of T - s0 B - shift; see ``separable``."""
+        c0, c1, c2 = self._coeffs
+        return c0 - s0 * c1 - shift * c2
 
     def margins(self, i_star: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of the bound operator at cutoff ``i_star``.
@@ -202,7 +243,7 @@ class _MarginEvaluator:
         """
         s, mu = slope_and_intercept(self.theta, i_star)
         twirled, bops = self.stacks(a, b)
-        m = twirled - s * bops - mu * np.eye(4)
+        m = twirled - s * bops - mu * _EYE
         return np.linalg.eigvalsh(m)[..., 0]
 
     def slopes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,18 +257,21 @@ class _MarginEvaluator:
         """
         a, b = _pairs(a, b)
         twirled, bops = self.stacks(a, b)
-        w, v = np.linalg.eigh(np.eye(4) - bops)
-        g = v.swapaxes(-1, -2) @ (np.eye(4) - twirled) @ v
+        w, v = np.linalg.eigh(_EYE - bops)
+        g = v.swapaxes(-1, -2) @ (_EYE - twirled) @ v
         kernel = w <= _KERNEL_RTOL * w[..., -1:]
-        leak = kernel & (np.diagonal(g, axis1=-2, axis2=-1) > VERIFY_TOL)
-        if leak.any():
-            *at, _ = np.argwhere(leak)[0]
-            a, b = (x[tuple(at)] for x in np.broadcast_arrays(a, b))
-            raise ChannelFamilyError(
-                f"1 - T does not vanish on the kernel of 1 - B at "
-                f"(a={a:.6f}, b={b:.6f}); the extraction-channel family "
-                f"cannot certify {self.kind.family} at theta={self.theta}")
-        r = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, w)))
+        if kernel.any():
+            leak = kernel & (g.diagonal(0, -2, -1) > VERIFY_TOL)
+            if leak.any():
+                *at, _ = np.argwhere(leak)[0]
+                a, b = (x[tuple(at)] for x in np.broadcast_arrays(a, b))
+                raise ChannelFamilyError(
+                    f"1 - T does not vanish on the kernel of 1 - B at "
+                    f"(a={a:.6f}, b={b:.6f}); the extraction-channel family "
+                    f"cannot certify {self.kind.family} at theta={self.theta}")
+            # the kernel gets the whitening weight 1 / sqrt(inf) = 0
+            w = np.where(kernel, np.inf, w)
+        r = 1.0 / np.sqrt(w)
         return np.linalg.eigvalsh(r[..., :, None] * g * r[..., None, :])[..., -1]
 
 
@@ -287,8 +331,8 @@ def _peaks(f, meshgrids: list[Patch]) -> list[Peak]:
     of the temporary operator stacks; ties break as np.argmax over each
     meshgrid does.
     """
-    pa = np.concatenate([np.repeat(a, len(b)) for a, b in meshgrids])[:, None]
-    pb = np.concatenate([np.tile(b, len(a)) for a, b in meshgrids])[:, None]
+    pa = np.concatenate([a.repeat(len(b)) for a, b in meshgrids])[:, None]
+    pb = np.concatenate([b for a, b in meshgrids for _ in a])[:, None]
     vals = np.concatenate([f(pa[i:i + _BLOCK_MATRICES], pb[i:i + _BLOCK_MATRICES])[:, 0]
                            for i in range(0, len(pa), _BLOCK_MATRICES)])
     peaks, start = [], 0
@@ -302,9 +346,10 @@ def _peaks(f, meshgrids: list[Patch]) -> list[Peak]:
 
 def _patch_axis(center: float, h: float) -> np.ndarray:
     """_REFINE_POINTS angles across center +- h in [0, pi/2], less clipped copies."""
-    x = np.clip(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0, np.pi / 2)
+    x = np.minimum(np.maximum(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0),
+                   np.pi / 2)
     # the axis ascends, so a copy is an angle equal to the one before it
-    return x[np.append(True, x[1:] > x[:-1])]
+    return x[np.concatenate([[True], x[1:] > x[:-1]])]
 
 
 def _refine(peaks, best: float, best_at: tuple[float, float], n_a: int, n_b: int,
@@ -347,20 +392,23 @@ def _pivots_positive(planes) -> np.ndarray:
     about 2.3e-15 ||m|| for n = 4, so a pass proves
     lambda_min(m) > -2.3e-15 ||m||.
     """
-    # keyed by plain ints: numpy-integer keys slow every lookup
-    low = dict(zip(zip(*(ix.tolist() for ix in _LOWER)), planes))
+    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = planes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(4):
-            col = {i: low[i, k] / low[k, k] for i in range(k + 1, 4)}
-            for i in range(k + 1, 4):
-                for j in range(k + 1, i + 1):
-                    # the difference goes into the product's buffer, which
-                    # saves a temporary per update
-                    update = col[i] * low[j, k]
-                    low[i, j] = np.subtract(low[i, j], update, out=update)
+        c1, c2, c3 = l10 / l00, l20 / l00, l30 / l00
+        l11, l21, l22 = _minus(l11, c1, l10), _minus(l21, c2, l10), _minus(l22, c2, l20)
+        l31, l32, l33 = _minus(l31, c3, l10), _minus(l32, c3, l20), _minus(l33, c3, l30)
+        c2, c3 = l21 / l11, l31 / l11
+        l22, l32, l33 = _minus(l22, c2, l21), _minus(l32, c3, l21), _minus(l33, c3, l31)
+        l33 = _minus(l33, l32 / l22, l32)
     # the smallest pivot, NaN if any pivot is
-    pivot = np.minimum(np.minimum(low[0, 0], low[1, 1]), np.minimum(low[2, 2], low[3, 3]))
+    pivot = np.minimum(np.minimum(l00, l11), np.minimum(l22, l33))
     return pivot > 0.0
+
+
+def _minus(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - c y, written into the product's buffer to save a temporary."""
+    update = c * y
+    return np.subtract(x, update, out=update)
 
 
 def _planes(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,19 +434,68 @@ def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
     return i_star
 
 
-def _screen(ev: _MarginEvaluator, s: float, mu: float, a: np.ndarray, b: np.ndarray) -> Patch:
-    """Rows and columns of the meshgrid of a and b that the LDL^T screen leaves.
+def _mirror_rows(a: np.ndarray) -> int:
+    """How many leading rows of a meshgrid with row angles a the screen factors.
 
-    Returns the angles of a and of b, in order, whose rows and columns hold
-    every point where LDL^T of T - s B - (mu + _SCREEN_RTOL (1 + s)) fails.
-    The LDL^T runs on the (10, rows, cols) planes of ev's separable factors,
-    ``_rows(len(b))`` rows at a time; both are empty if it fails nowhere.
+    All of them, unless the axis is its own mirror image a -> pi/2 - a to
+    within ``_MIRROR_ATOL``; then only those with a <= pi/4, the first
+    (len(a) + 1) // 2.
     """
-    x, c, y = ev.separable(s, mu + _SCREEN_RTOL * (1.0 + s), a, b)
-    rows = _rows(len(b))
-    fails = np.concatenate([~_pivots_positive(_planes(x[i:i + rows], c, y))
-                            for i in range(0, len(a), rows)])
-    return a[fails.any(axis=1)], b[fails.any(axis=0)]
+    if np.all(np.abs(a + a[::-1] - np.pi / 2) <= _MIRROR_ATOL):
+        return (len(a) + 1) // 2
+    return len(a)
+
+
+def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.ndarray]]
+            ) -> list[Patch]:
+    """Rows and columns of each meshgrid that the LDL^T screen leaves.
+
+    A job (s, mu, a, b) screens the meshgrid of a and b: it returns the
+    angles of a and of b, in order, whose rows and columns hold every point
+    where LDL^T of T - s B - (mu + _SCREEN_RTOL (1 + s)) fails; both are
+    empty if it fails nowhere. The LDL^T runs on the (10, rows, cols)
+    planes of ev's separable factors. Only the rows ``_mirror_rows`` names
+    are factored; on a mirror-symmetric axis each other row takes the
+    verdict of its partner from the other end, which the module docstring
+    shows is sound. Row blocks of the jobs in order, ``_rows(len(b))`` rows
+    each, are factored together while they hold at most ``_BLOCK_MATRICES``
+    points, so a grid takes one pass per block and a refinement level's
+    patches one pass in all.
+    """
+    # the factors of every job's rows and columns come from one call
+    halves = [a[:_mirror_rows(a)] for _, _, a, _ in jobs]
+    x, y = ev.separable(np.concatenate(halves), np.concatenate([b for *_, b in jobs]))
+    blocks, row, col = [], 0, 0
+    for job, ((s, mu, _, b), half) in enumerate(zip(jobs, halves)):
+        c = ev.coefficients(s, mu + _SCREEN_RTOL * (1.0 + s))
+        xj, yj = x[row:row + len(half)], y[:, col:col + len(b)]
+        row, col = row + len(half), col + len(b)
+        rows = _rows(len(b))
+        blocks += [(job, xj[i:i + rows], c, yj) for i in range(0, len(xj), rows)]
+    batches, size = [[]], 0
+    for block in blocks:
+        points = len(block[1]) * block[3].shape[1]
+        if batches[-1] and size + points > _BLOCK_MATRICES:
+            batches.append([])
+            size = 0
+        batches[-1].append(block)
+        size += points
+    passed = [[] for _ in jobs]
+    for batch in batches:
+        planes = [_planes(*block[1:]) for block in batch]
+        flat = [p.reshape(10, -1) for p in planes]
+        ok = _pivots_positive(flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))
+        start = 0
+        for (job, *_), p in zip(batch, planes):
+            passed[job].append(ok[start:start + p[0].size].reshape(p.shape[1:]))
+            start += p[0].size
+    left = []
+    for (_, _, a, b), parts in zip(jobs, passed):
+        # each row past the mirror line takes its partner's verdict
+        fails = ~np.concatenate(parts)
+        fails = np.concatenate([fails, fails[:len(a) - len(fails)][::-1]])
+        left.append((a[fails.any(axis=1)], b[fails.any(axis=0)]))
+    return left
 
 
 def _screened_peaks(ev: _MarginEvaluator, meshgrids: list[Patch],
@@ -406,23 +503,21 @@ def _screened_peaks(ev: _MarginEvaluator, meshgrids: list[Patch],
     """Largest pencil slope over each meshgrid, solved sparsely and in one batch.
 
     Each guess is a slope, at most its meshgrid's maximum, and where it was
-    found. Each meshgrid is screened by ``_screen`` at the slope s0 and
-    intercept mu0 of the cutoff its own guess gives, since a cleared point
-    has s_min below s0, and what all the screens leave is solved in one
-    ``_peaks`` call; ties break as np.argmax over each full meshgrid does.
-    Returns, per meshgrid, the maximum, where it is and the solved meshgrid.
-    Raises ChannelFamilyError if a screen clears every point, which only a
-    guess above the maximum can cause.
+    found. Each meshgrid is screened at the slope s0 and intercept mu0 of
+    the cutoff its own guess gives, since a cleared point has s_min below
+    s0, all in one ``_screen`` call, and what the screens leave is solved in
+    one ``_peaks`` call; ties break as np.argmax over each full meshgrid
+    does. Returns, per meshgrid, the maximum, where it is and the solved
+    meshgrid. Raises ChannelFamilyError if a screen clears every point,
+    which only a guess above the maximum can cause.
     """
-    solved = []
-    for (a, b), guess in zip(meshgrids, guesses):
-        s0, mu0 = slope_and_intercept(ev.theta, _cutoff(ev, *guess))
-        left = _screen(ev, s0, mu0, a, b)
+    solved = _screen(ev, [(*slope_and_intercept(ev.theta, _cutoff(ev, *guess)), a, b)
+                          for (a, b), guess in zip(meshgrids, guesses)])
+    for (a, b), guess, left in zip(meshgrids, guesses, solved):
         if not left[0].size:
             raise ChannelFamilyError(
                 f"guess {guess[0]:.6g} exceeds the maximum slope: the screen clears all "
                 f"{len(a)}x{len(b)} points for {ev.kind.family} at theta={ev.theta}")
-        solved.append(left)
     return [(*peak, left) for peak, left in zip(_peaks(ev.slopes, solved), solved)]
 
 
@@ -525,7 +620,7 @@ def verify_cutoff(cert: LinearBoundCertificate,
     s, mu = slope_and_intercept(ev.theta, _check_cutoff(cert.i_star))
 
     def peaks(meshgrids: list[Patch]):
-        left = [_screen(ev, s, mu, a, b) for a, b in meshgrids]
+        left = _screen(ev, [(s, mu, a, b) for a, b in meshgrids])
         left = [kept if kept[0].size else whole for kept, whole in zip(left, meshgrids)]
         return [(*peak, kept) for peak, kept in
                 zip(_peaks(lambda a, b: -ev.margins(cert.i_star, a, b), left), left)]

@@ -215,10 +215,11 @@ def output_fidelity_bound(i: float, theta: float, i_star: float,
 
     sqrt(cos^2 theta + (1 - cos^2 theta)(i - i*)/(1 - i*)). With ``floor``
     the result is clamped below by cos(theta), the largest Schmidt
-    coefficient of the branch target. Raises DomainError naming ``i`` or
-    ``theta`` for one that is not a finite number.
+    coefficient of the branch target. Raises DomainError naming ``i`` for
+    one that is not a finite number, or ``theta`` for one outside
+    ``THETA_RANGE``, where no certificate exists.
     """
-    i, theta = _check_finite(i, "i"), _check_finite(theta, "theta")
+    i, theta = _check_finite(i, "i"), check_theta(theta)
     if i > 1.0 + 1e-6:
         raise NonQuantumValueError(f"violation {i!r} exceeds the quantum bound 1")
     _check_cutoff(i_star)

@@ -36,9 +36,6 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 H_OBS = (SIGMA_Z + SIGMA_X) / np.sqrt(2.0)
 V_OBS = (SIGMA_Z - SIGMA_X) / np.sqrt(2.0)
 
-# Rotation by pi around the x axis, exp(i pi/2 sigma_x) = i sigma_x.
-ROT_X_PI = 1j * SIGMA_X
-
 _SQRT2_P1 = 1.0 + np.sqrt(2.0)
 
 
@@ -284,7 +281,8 @@ def dephasing_profile(t: np.ndarray | float) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     g = _SQRT2_P1 * (np.cos(t) + np.sin(t) - 1.0)
     g = np.where((t >= 0.0) & (t <= np.pi / 2), g, 0.0)
-    out = np.clip(g, 0.0, 1.0)
+    # g is finite and never -0.0 here, so this is np.clip(g, 0, 1) at less cost
+    out = np.minimum(np.maximum(g, 0.0), 1.0)
     return out if out.ndim else float(out)
 
 
@@ -320,19 +318,18 @@ class AngleWarp:
     """
 
     b_ideal: float
+    variant: str = field(init=False)
 
-    @property
-    def variant(self) -> str:
-        return warp_variant(self.b_ideal)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", warp_variant(self.b_ideal))
 
     def __call__(self, b: np.ndarray | float) -> np.ndarray:
-        shape = np.shape(b)
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
         if self.variant == "identity":
-            return b.reshape(shape)
+            return b
         lo = (np.pi / 4) * b / self.b_ideal
         hi = np.pi / 4 + (np.pi / 4) * (b - self.b_ideal) / (np.pi / 2 - self.b_ideal)
-        return np.where(b <= self.b_ideal, lo, hi).reshape(shape)
+        return np.where(b <= self.b_ideal, lo, hi)
 
 
 def bob_warp(theta: float, kind: str = "new") -> AngleWarp:
@@ -342,10 +339,8 @@ def bob_warp(theta: float, kind: str = "new") -> AngleWarp:
 
 def bob_dephasing_weight(b: np.ndarray | float, theta: float,
                          kind: str = "new") -> np.ndarray | float:
-    """Mixing weight (1 + g(t(b)))/2 of Bob's extraction channel."""
-    warp = bob_warp(theta, kind)
-    out = (1.0 + np.asarray(dephasing_profile(warp(np.asarray(b, dtype=float))))) / 2.0
-    return out if out.ndim else float(out)
+    """Mixing weight (1 + g(t(b)))/2 of Bob's extraction channel: Alice's at t(b)."""
+    return alice_dephasing_weight(bob_warp(theta, kind)(b))
 
 
 def dephasing_bob(b: float, theta: float, kind: str = "new") -> DephasingChannel:

@@ -5,6 +5,10 @@ import pytest
 
 from diqc import bell, certify, quantum
 
+# rotation by pi around the x axis, exp(i pi/2 sigma_x) = i sigma_x; the
+# relabelled branch-1 test is defined through it
+ROT_X_PI = 1j * quantum.SIGMA_X
+
 
 class _CutoffSolver:
     """Session-wide memo so acceptance and module tests share solver runs."""
@@ -36,7 +40,7 @@ def cutoffs():
 def _branch1_bell_operator(theta, family, a, b):
     # the relabelled (primed) branch-1 test at the operator level:
     # (R x R) B(pi/2 - a, b) (R x R)^dag with R the pi rotation about x
-    rr = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI)
+    rr = np.kron(ROT_X_PI, ROT_X_PI)
     single = bell.new_bell_operator if family == "new" else bell.tilted_operator
     return rr @ single(theta, np.pi / 2 - a, b) @ rr.conj().T
 

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import ROT_X_PI
 
 from diqc import bell, certify, quantum
 from diqc.certify import (
@@ -365,11 +366,56 @@ def test_screen_planes_match_operator_stacks(theta, family):
     s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
     shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
     a = b = np.linspace(0.0, np.pi / 2, 201)
-    planes = _lower_stack(*ev.separable(s0, shift, a, b))
+    x, y = ev.separable(a, b)
+    planes = _lower_stack(x, ev.coefficients(s0, shift), y)
     twirled, bops = ev.stacks(a, b)
     expected = twirled - s0 * bops - shift * np.eye(4)
     i, j = certify._LOWER
     assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
+
+
+def _termwise_stacks(ev, a, b):
+    # the reference for _MarginEvaluator.stacks: every twirl and Bell term
+    # formed and summed one at a time, in order, from closed-form factors
+    a, b = certify._pairs(a, b)
+    wa = quantum.alice_dephasing_weight(a)[..., None, None]
+    wb = quantum.bob_dephasing_weight(b, ev.theta, ev.kind.family)[..., None, None]
+    sel_a, sel_b = 1 + (a > np.pi / 4), 1 + (b > ev.b_ideal)
+    tw = ev._twirl
+    twirled = (wa * wb * ev._proj + wa * (1.0 - wb) * tw[0, sel_b]
+               + (1.0 - wa) * wb * tw[sel_a, 0] + (1.0 - wa) * (1.0 - wb) * tw[sel_a, sel_b])
+    sb, cb = np.sin(b), np.cos(b)
+    if ev.kind.family == "new":
+        sb_t, cb_t, s2, c2 = bell._new_coeffs(ev.theta)
+        diff, plus, marg, norm = sb / (2.0 * sb_t), cb * s2 / (2.0 * cb_t), c2 / 4.0, 1.0
+        extra = [(2, c2 * sb / (4.0 * sb_t), bell._IZ)]
+    else:
+        alpha = bell.tilted_alpha(ev.theta)
+        diff, plus, marg = 2.0 * sb, 2.0 * cb, alpha
+        norm, extra = float(np.sqrt(8.0 + 2.0 * alpha * alpha)), []
+    marg = np.full_like(b, marg)
+    terms = [(0, diff, bell._ZZ), (1, diff, bell._XZ), (1, plus, bell._ZX), (0, plus, bell._XX),
+             (0, marg, bell._ZI), (1, marg, bell._XI), *extra]
+    fa = bell.alice_factors(a)
+    (i, g, k), *rest = terms
+    bops = (fa[i] * g)[..., None, None] * k
+    for i, g, k in rest:
+        bops += (fa[i] * g)[..., None, None] * k
+    return twirled, bops / norm
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_stacks_equal_termwise_sums(theta, family):
+    # bit for bit, signs of zero included, on a meshgrid and on a point list
+    ev = certify._MarginEvaluator(theta, family)
+    rng = np.random.default_rng(47)
+    a = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
+    b = np.concatenate([[0.0, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
+    for pa, pb in [(a, b), (a[:, None], b[:, None])]:
+        for got, expected in zip(ev.stacks(pa, pb), _termwise_stacks(ev, pa, pb)):
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("theta, family, i_star, worst_margin", [
@@ -400,16 +446,16 @@ def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
     # the screen works on separable planes; only the exact solves, the
     # refinement patches and the final scan stack Bell operators
     built = []
-    operators = bell.bell_operators
+    stacks = certify._MarginEvaluator.stacks
 
-    def counting_operators(kind, a, b):
-        out = operators(kind, a, b)
-        built.append(out.size // 16)
+    def counting_stacks(self, a, b):
+        out = stacks(self, a, b)
+        built.append(out[1].size // 16)
         return out
 
-    monkeypatch.setattr(bell, "bell_operators", counting_operators)
+    monkeypatch.setattr(certify._MarginEvaluator, "stacks", counting_stacks)
     find_cutoff(theta, family)
-    assert sum(built) <= 200
+    assert 0 < sum(built) <= 200
 
 
 @pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
@@ -491,7 +537,7 @@ def test_positive_definite_mask_matches_eigenvalues():
 # pi rotation about x on both qubits that defines the relabelled branch-1 test
 _XZ = quantum.SIGMA_X.real @ quantum.SIGMA_Z.real
 _U = np.kron(_XZ, _XZ)
-_RR = np.kron(quantum.ROT_X_PI, quantum.ROT_X_PI).real
+_RR = np.kron(ROT_X_PI, ROT_X_PI).real
 
 
 @pytest.mark.parametrize("family", ["new", "tilted"])
@@ -527,6 +573,106 @@ def test_branch1_inequality_is_branch0_conjugated(theta, family, cutoffs, branch
             <= 1e-14 * (1.0 + cert.slope)
 
 
+# ---- the Z (x) Z mirror in Alice's angle ----
+
+# U = Z (x) Z fixes the target state and maps the bound operator at (a, b) to
+# the one at (pi/2 - a, b), which lets the screen factor half the grid
+_ZZ = np.kron(quantum.SIGMA_Z.real, quantum.SIGMA_Z.real)
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_operator_mirrors_in_alice_angle(theta, family, cutoffs):
+    ev = certify._MarginEvaluator(theta, family)
+    # (a) U fixes the target and the twirl's row 0, and swaps Alice's
+    # dephasing axes H and V (rows 1 and 2), exactly
+    assert np.array_equal(_ZZ @ ev._proj @ _ZZ, ev._proj)
+    for j in range(3):
+        assert np.array_equal(_ZZ @ ev._twirl[0, j] @ _ZZ, ev._twirl[0, j])
+        assert np.array_equal(_ZZ @ ev._twirl[1, j] @ _ZZ, ev._twirl[2, j])
+    # (b) each Pauli product takes the sign its Alice factor takes under
+    # a -> pi/2 - a, exactly: p is even there and q odd
+    terms, _ = bell.bell_terms(bell.BellKind(family, theta), np.array([0.3]))
+    sign = {0: 1.0, 1: -1.0, 2: 1.0}
+    for i, _, k in terms:
+        assert np.array_equal(_ZZ @ k @ _ZZ, sign[i] * k)
+    # (c) those parities, and Alice's weight is even, on both sides of pi/4
+    rng = np.random.default_rng(43)
+    a = np.concatenate([rng.uniform(0.0, np.pi / 4, 25), rng.uniform(np.pi / 4, np.pi / 2, 25)])
+    p, q, one = bell.alice_factors(a)
+    assert np.max(np.abs(bell.alice_factors(np.pi / 2 - a) - np.array([p, -q, one]))) <= 1e-15
+    weight = quantum.alice_dephasing_weight
+    assert np.max(np.abs(weight(np.pi / 2 - a) - weight(a))) <= 1e-15
+    # (d) so mirrored points have the same margin
+    cert = cutoffs.get(theta, family)
+    for x, y in zip(a, rng.uniform(0.0, np.pi / 2, size=50)):
+        margin = operator_margin(theta, family, cert.i_star, x, y)
+        assert abs(operator_margin(theta, family, cert.i_star, np.pi / 2 - x, y) - margin) \
+            <= 1e-14 * (1.0 + cert.slope)
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_mirrored_screen_leaves_what_a_full_screen_leaves(theta, family):
+    # (e) factoring every row of the default grid at the corner guess's
+    # slope leaves the rows and columns that the mirrored screen leaves
+    ev = certify._MarginEvaluator(theta, family)
+    ends = np.array([0.0, np.pi / 2])
+    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *certify._peaks(ev.slopes, [(ends, ends)])[0]))
+    a = b = np.linspace(0.0, np.pi / 2, 201)
+    assert certify._mirror_rows(a) == 101
+    x, y = ev.separable(a, b)
+    c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
+    fails = ~certify._pivots_positive(certify._planes(x, c, y))
+    left_a, left_b = certify._screen(ev, [(s0, mu0, a, b)])[0]
+    assert np.array_equal(left_a, a[fails.any(axis=1)])
+    assert np.array_equal(left_b, b[fails.any(axis=0)])
+
+
+def test_mirror_needs_a_symmetric_axis():
+    a = np.linspace(0.0, np.pi / 2, 201)
+    even = np.linspace(0.0, np.pi / 2, 152)
+    assert [certify._mirror_rows(x) for x in (a, even, a[:-1], a[1:-1], a + 1e-14)] \
+        == [101, 76, 200, 100, 201]
+    # the first ideal-point patch is symmetric about pi/4; a patch clipped
+    # at a = 0 is not
+    assert certify._mirror_rows(certify._patch_axis(np.pi / 4, a[1])) == 9
+    clipped = certify._patch_axis(0.0, a[1])
+    assert certify._mirror_rows(clipped) == len(clipped) == 9
+
+
+def _screened_points(monkeypatch):
+    # points factored per _screen call, counted where the LDL^T runs
+    calls = []
+    screen, pivots = certify._screen, certify._pivots_positive
+
+    def recording_screen(*args):
+        calls.append(0)
+        return screen(*args)
+
+    def counting_pivots(planes):
+        calls[-1] += planes[0].size
+        return pivots(planes)
+
+    monkeypatch.setattr(certify, "_screen", recording_screen)
+    monkeypatch.setattr(certify, "_pivots_positive", counting_pivots)
+    return calls
+
+
+def test_grid_screen_factors_half_the_grid(monkeypatch, cutoffs):
+    # the grid, then one pass per refinement level, the grid on the rows
+    # with a <= pi/4 alone
+    cert = cutoffs.get(0.6, "new")
+    calls = _screened_points(monkeypatch)
+    find_cutoff(0.6, "new")
+    assert len(calls) == 1 + certify.DEFAULT_REFINE_LEVELS
+    assert calls[0] <= 101 * 201
+    calls.clear()
+    verify_cutoff(cert, grid=(801, 801))
+    assert len(calls) == 1 + certify.DEFAULT_REFINE_LEVELS
+    assert calls[0] <= 401 * 801
+
+
 # ---- verify_cutoff, the re-verification that covers branch 1 by the identity ----
 
 
@@ -555,6 +701,7 @@ def _unscreened_scan(cert, grid):
     (0.6, "new", (201, 201), 2, (151, 173)),
     (0.25, "new", (151, 151), 3, None),
     (0.7, "tilted", (201, 201), 0, (151, 173)),
+    (0.3, "tilted", (201, 201), 2, (152, 151)),
 ])
 def test_verify_branch1_equals_unscreened_scan(theta, family, grid, refine_levels,
                                                verify_grid):
@@ -575,7 +722,7 @@ def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
 
     def recording_screen(*args):
         left = screen(*args)
-        cleared.append(left[0].size == 0)
+        cleared.extend(kept[0].size == 0 for kept in left)
         return left
 
     monkeypatch.setattr(certify, "_screen", recording_screen)
@@ -588,17 +735,17 @@ def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
     # the screen works on separable planes; exact margins stack Bell
     # operators only on the points it leaves
     built = []
-    operators = bell.bell_operators
+    stacks = certify._MarginEvaluator.stacks
 
-    def counting_operators(kind, a, b):
-        out = operators(kind, a, b)
-        built.append(out.size // 16)
+    def counting_stacks(self, a, b):
+        out = stacks(self, a, b)
+        built.append(out[1].size // 16)
         return out
 
     cert = find_cutoff(0.6, "new")
-    monkeypatch.setattr(bell, "bell_operators", counting_operators)
+    monkeypatch.setattr(certify._MarginEvaluator, "stacks", counting_stacks)
     verify_cutoff(cert, grid=(n, n))
-    assert sum(built) <= 50
+    assert 0 < sum(built) <= 50
 
 
 @pytest.mark.parametrize("field, value", [("tol", 1e6), ("tol", float("nan")),

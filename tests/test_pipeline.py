@@ -117,6 +117,18 @@ def test_output_fidelity_bound_names_a_nan_input(args, name):
         pipeline.output_fidelity_bound(*args)
 
 
+@pytest.mark.parametrize("theta", [5.0, -0.3, 0.0, 0.8])
+def test_output_fidelity_bound_rejects_an_angle_outside_theta_range(theta):
+    # no certificate exists outside THETA_RANGE, so no branch fidelity does
+    with pytest.raises(DomainError, match=f"^theta={theta!r} outside"):
+        pipeline.output_fidelity_bound(0.95, theta, 0.9)
+
+
+@pytest.mark.parametrize("theta", pipeline.THETA_RANGE)
+def test_output_fidelity_bound_takes_both_ends_of_theta_range(theta):
+    assert math.cos(theta) <= pipeline.output_fidelity_bound(0.95, theta, 0.9) <= 1.0
+
+
 def test_input_fidelity_bound_names_a_nan_beta():
     with pytest.raises(DomainError, match="^beta=nan"):
         pipeline.input_fidelity_bound(math.nan)

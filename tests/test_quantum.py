@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import ROT_X_PI
 
 from diqc import quantum
 from diqc.matrixcore import kron
@@ -7,7 +8,6 @@ from diqc.quantum import (
     DomainError,
     H_OBS,
     IDENTITY_2,
-    ROT_X_PI,
     SIGMA_X,
     SIGMA_Z,
     V_OBS,
