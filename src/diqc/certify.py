@@ -23,9 +23,11 @@ PSD exactly when s is at least the top eigenvalue s_min(a, b) of the pencil
 sets I* = 1 - sin^2 theta / max s_min directly; there is no search over I*.
 
 Only a handful of grid points can bind, so the pencil is not solved
-everywhere. Exact slopes at the four corners of [0, pi/2]^2 give a guess
-s0; the corners are grid points, so s0 <= max s_min, and at every default
-angle the grid maximum sits at a corner. One pass over half the grid then
+everywhere, and only half the square is needed: U = Z (x) Z maps the
+operator at (a, b) to the one at (pi/2 - a, b), so the solver works on
+a <= pi/4 alone. Exact slopes at the two corners a = 0 give a guess s0;
+the corners are grid points, so s0 <= max s_min, and at every default
+angle the grid maximum sits at a corner. One pass over the grid then
 screens out every point whose operator (T - 1) + s0 (1 - B) - delta is
 positive definite, tested by an unpivoted LDL^T factorization.
 
@@ -35,10 +37,8 @@ twirl's three and Alice's (p, q, 1)), six of b (the twirl's three and
 Bob's (sin b, cos b, 1)) and fixed real 4x4 matrices C_ij, so one
 contraction and one matrix product give its ten lower-triangle entries for
 a block of grid rows as a (10, rows, cols) array of contiguous planes, and
-the LDL^T runs on those planes entry by entry. The grid's a-axis is its own
-mirror image under a -> pi/2 - a, so only its rows with a <= pi/4 are
-factored and each other row takes the verdict of its partner. This is
-sound for five reasons:
+the LDL^T runs on those planes entry by entry. The certificate covers
+every grid point, screened or mirrored, for five reasons:
 
 * the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
   1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
@@ -49,29 +49,25 @@ sound for five reasons:
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
   of Numerical Algorithms, Thm 10.3), also far below delta;
-* U = Z (x) Z maps the operator at (a, b) to the one at (pi/2 - a, b):
-  U fixes the target, swaps Alice's dephasing axes H and V (the sides of
-  pi/4) and squares away the sign Z gives Bob's X; Alice's weight and p are
-  even under a -> pi/2 - a while q is odd, and U K U = -K exactly for the
-  Bell terms that carry q, +K for the others
-  (test_operator_mirrors_in_alice_angle). So mirrored points have the same
-  margins. A default grid's partner misses pi/2 - a by at most 2.5e-16,
-  which moves the operator by about 1e-15 (1 + s0), and ``_mirror_rows``
-  accepts a miss of at most ``_MIRROR_ATOL`` = 1e-15, about 4e-15 (1 + s0):
-  again far below delta. Only a point within such a miss of pi/4 can pick
-  the same dephasing axis as its partner, and there 1 - wa is roundoff;
-* every remaining point, mirrored ones included, which includes every point
-  with s_min >= s0 and every point where 1 - T leaks into the kernel of
-  1 - B, is solved exactly at its own angles.
+* U fixes the target, swaps Alice's dephasing axes H and V (the sides of
+  pi/4) and flips exactly the Bell terms whose Alice factor is odd under
+  a -> pi/2 - a (test_operator_mirrors_in_alice_angle), so mirrored points
+  have the same margins and slopes. The grid's a-axis is the first
+  (n_a + 1) // 2 angles of linspace(0, pi/2, n_a); each other grid row is
+  pi/2 - a of one of them to within 2.5e-16, which moves the operator by
+  about 1e-15 (1 + s), again far below delta and VERIFY_TOL;
+* every remaining point, which includes every point with s_min >= s0 and
+  every point where 1 - T leaks into the kernel of 1 - B, is solved
+  exactly at its own angles.
 
-The certificate is therefore the one a full-grid solve gives for any guess
-at most the grid maximum; a poor guess only costs time. Each refinement
-patch is screened the same way from the exact maximum over its sample
-{first, middle, last}^2, which is at most the patch maximum, so that
-maximum and where it lies (the next patch's centre) stay the same; a
-patch's rows are halved too when its a-axis is mirror-symmetric, as the
-first patch around the ideal point is. A final margin scan at I* over the
-solved meshgrids alone confirms the certificate.
+The certificate is therefore the one a solve at every point of the half
+grid gives for any guess at most its maximum; a poor guess only costs
+time. Each refinement patch, its a-axis clipped at pi/4, is screened the
+same way from the exact maximum over its sample {first, middle, last}^2,
+which is at most the patch maximum, so that maximum and where it lies (the
+next patch's centre) stay the same. The binding corner is named with
+a <= pi/4. A final margin scan at I* over the solved meshgrids alone
+confirms the certificate.
 
 The exact work is batched as far as its data dependencies allow: a batched
 slope call takes about 0.18 ms for one point and 7 us for each further one
@@ -125,11 +121,6 @@ _SCREEN_RTOL = 1e-12
 # eigenvalues of 1 - B up to this multiple of its norm count as its kernel;
 # genuine ones near the ideal point reach down to about 1e-13
 _KERNEL_RTOL = 1e-15
-# a meshgrid axis mirrors onto itself under a -> pi/2 - a when each angle and
-# its partner from the other end sum to pi/2 within this: the default grids
-# miss by at most 2.5e-16, and a miss of this size moves the operator by
-# about 4e-15 (1 + s0), far inside delta
-_MIRROR_ATOL = 1e-15
 # lifted products of (1, Alice's dephasing axes) with (1, Bob's): conjugating
 # the target by entry [i, j] gives the twirl's term for factors i and j
 _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
@@ -143,12 +134,6 @@ _MIXES = np.array([[[0, 0], [0, 0]], [[2, 3], [2, 3]], [[4, 4], [7, 7]], [[5, 6]
 
 # ---------------------------------------------------------------------------
 # operator-inequality verification
-
-
-def _pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle arrays that broadcast: two 1-D arrays become a meshgrid's axes."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return (a[:, None], b[None, :]) if a.ndim == b.ndim == 1 else (a, b)
 
 
 def _kind(theta: float, family: str) -> BellKind:
@@ -198,16 +183,15 @@ class _MarginEvaluator:
     def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channel-twirled projector stack and Bell stack at the angle pairs.
 
-        a and b broadcast against each other, except that two 1-D arrays are
-        the axes of a meshgrid, as a[:, None] and b[None, :]: a meshgrid's
-        stacks have shape (len(a), len(b), 4, 4), and a point list passes
-        two equal-length (n, 1) columns. Every factor is elementwise in its
-        own angle, so a matrix's bits do not depend on the points beside it.
+        a and b are float arrays that broadcast against each other: a
+        meshgrid passes a[:, None] and b[None, :] for stacks of shape
+        (len(a), len(b), 4, 4), and a point list two equal-length (n, 1)
+        columns. Every factor is elementwise in its own angle, so a
+        matrix's bits do not depend on the points beside it.
         The twirl is wa wb P + wa (1 - wb) twirl[0, j] + (1 - wa) wb
         twirl[i, 0] + (1 - wa) (1 - wb) twirl[i, j], summed in that order,
         with i and j the dephasing axes on either side of pi/4 and b_ideal.
         """
-        a, b = _pairs(a, b)
         wa, wb = self._weights(a, b)
         weights = np.array([wa, 1.0 - wa])[:, None] * np.array([wb, 1.0 - wb])
         terms = (weights.reshape((4,) + weights.shape[2:])[..., None, None]
@@ -255,7 +239,6 @@ class _MarginEvaluator:
         must vanish; any other kernel direction is a ChannelFamilyError
         that names the first such pair. Takes the angles as ``stacks`` does.
         """
-        a, b = _pairs(a, b)
         twirled, bops = self.stacks(a, b)
         w, v = np.linalg.eigh(_EYE - bops)
         g = v.swapaxes(-1, -2) @ (_EYE - twirled) @ v
@@ -306,15 +289,21 @@ def operator_margin(theta: float, family: str, i_star: float, a: float, b: float
     """
     ev = _MarginEvaluator(theta, family)
     a, b = _check_range(a, 0.0, np.pi / 2, "a"), _check_range(b, 0.0, np.pi / 2, "b")
-    return float(ev.margins(_check_cutoff(i_star), np.array([a]), np.array([b]))[0, 0])
+    return float(ev.margins(_check_cutoff(i_star), np.array([[a]]), np.array([[b]]))[0, 0])
 
 
 Patch = tuple[np.ndarray, np.ndarray]
 Peak = tuple[float, tuple[float, float]]
 
 
-def _grid(n: int) -> np.ndarray:
-    return np.linspace(0.0, np.pi / 2, n)
+def _grid(n_a: int, n_b: int) -> Patch:
+    """The grid's meshgrid on the half square: a-axis up to pi/4, b-axis to pi/2.
+
+    The a-axis is the first (n_a + 1) // 2 angles of linspace(0, pi/2, n_a),
+    the last of which may sit an ulp above pi/4; the grid's other rows
+    mirror these (see the module docstring).
+    """
+    return np.linspace(0.0, np.pi / 2, n_a)[:(n_a + 1) // 2], np.linspace(0.0, np.pi / 2, n_b)
 
 
 def _rows(n_b: int) -> int:
@@ -344,10 +333,9 @@ def _peaks(f, meshgrids: list[Patch]) -> list[Peak]:
     return peaks
 
 
-def _patch_axis(center: float, h: float) -> np.ndarray:
-    """_REFINE_POINTS angles across center +- h in [0, pi/2], less clipped copies."""
-    x = np.minimum(np.maximum(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0),
-                   np.pi / 2)
+def _patch_axis(center: float, h: float, hi: float) -> np.ndarray:
+    """_REFINE_POINTS angles across center +- h in [0, hi], less clipped copies."""
+    x = np.minimum(np.maximum(np.linspace(center - h, center + h, _REFINE_POINTS), 0.0), hi)
     # the axis ascends, so a copy is an angle equal to the one before it
     return x[np.concatenate([[True], x[1:] > x[:-1]])]
 
@@ -358,19 +346,21 @@ def _refine(peaks, best: float, best_at: tuple[float, float], n_a: int, n_b: int
     """Raise the grid maximum ``best`` by local refinement patches.
 
     Refines around the running best cell and around the ideal point, one
-    coarse cell wide, shrinking eightfold per level. A level's two patches
-    depend only on the level before, so ``peaks(meshgrids)`` takes both at
-    once and gives, per patch, its maximum, where it is and the meshgrid it
-    solved to find it. The first patch's maximum is compared first and only
-    a strictly larger value moves ``best``. Returns the solved meshgrids
-    too, so a later scan can revisit the same points.
+    coarse cell wide, shrinking eightfold per level, with a clipped to
+    [0, pi/4] and b to [0, pi/2]. A level's two patches depend only on the
+    level before, so ``peaks(meshgrids)`` takes both at once and gives, per
+    patch, its maximum, where it is and the meshgrid it solved to find it.
+    The first patch's maximum is compared first and only a strictly larger
+    value moves ``best``. Returns the solved meshgrids too, so a later scan
+    can revisit the same points.
     """
     h_a = (np.pi / 2) / (n_a - 1)
     h_b = (np.pi / 2) / (n_b - 1)
     centers = [best_at, (np.pi / 4, b_ideal)]
     patches = []
     for _ in range(refine_levels):
-        level = peaks([(_patch_axis(ca, h_a), _patch_axis(cb, h_b)) for ca, cb in centers])
+        level = peaks([(_patch_axis(ca, h_a, np.pi / 4), _patch_axis(cb, h_b, np.pi / 2))
+                       for ca, cb in centers])
         for value, at, solved in level:
             if value > best:
                 best, best_at = value, at
@@ -434,18 +424,6 @@ def _cutoff(ev: _MarginEvaluator, s: float, at: tuple[float, float]) -> float:
     return i_star
 
 
-def _mirror_rows(a: np.ndarray) -> int:
-    """How many leading rows of a meshgrid with row angles a the screen factors.
-
-    All of them, unless the axis is its own mirror image a -> pi/2 - a to
-    within ``_MIRROR_ATOL``; then only those with a <= pi/4, the first
-    (len(a) + 1) // 2.
-    """
-    if np.all(np.abs(a + a[::-1] - np.pi / 2) <= _MIRROR_ATOL):
-        return (len(a) + 1) // 2
-    return len(a)
-
-
 def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.ndarray]]
             ) -> list[Patch]:
     """Rows and columns of each meshgrid that the LDL^T screen leaves.
@@ -454,22 +432,19 @@ def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.
     angles of a and of b, in order, whose rows and columns hold every point
     where LDL^T of T - s B - (mu + _SCREEN_RTOL (1 + s)) fails; both are
     empty if it fails nowhere. The LDL^T runs on the (10, rows, cols)
-    planes of ev's separable factors. Only the rows ``_mirror_rows`` names
-    are factored; on a mirror-symmetric axis each other row takes the
-    verdict of its partner from the other end, which the module docstring
-    shows is sound. Row blocks of the jobs in order, ``_rows(len(b))`` rows
-    each, are factored together while they hold at most ``_BLOCK_MATRICES``
-    points, so a grid takes one pass per block and a refinement level's
-    patches one pass in all.
+    planes of ev's separable factors. Row blocks of the jobs in order,
+    ``_rows(len(b))`` rows each, are factored together while they hold at
+    most ``_BLOCK_MATRICES`` points, so a grid takes one pass per block and
+    a refinement level's patches one pass in all.
     """
     # the factors of every job's rows and columns come from one call
-    halves = [a[:_mirror_rows(a)] for _, _, a, _ in jobs]
-    x, y = ev.separable(np.concatenate(halves), np.concatenate([b for *_, b in jobs]))
+    x, y = ev.separable(np.concatenate([a for _, _, a, _ in jobs]),
+                        np.concatenate([b for *_, b in jobs]))
     blocks, row, col = [], 0, 0
-    for job, ((s, mu, _, b), half) in enumerate(zip(jobs, halves)):
+    for job, (s, mu, a, b) in enumerate(jobs):
         c = ev.coefficients(s, mu + _SCREEN_RTOL * (1.0 + s))
-        xj, yj = x[row:row + len(half)], y[:, col:col + len(b)]
-        row, col = row + len(half), col + len(b)
+        xj, yj = x[row:row + len(a)], y[:, col:col + len(b)]
+        row, col = row + len(a), col + len(b)
         rows = _rows(len(b))
         blocks += [(job, xj[i:i + rows], c, yj) for i in range(0, len(xj), rows)]
     batches, size = [[]], 0
@@ -491,9 +466,7 @@ def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.
             start += p[0].size
     left = []
     for (_, _, a, b), parts in zip(jobs, passed):
-        # each row past the mirror line takes its partner's verdict
         fails = ~np.concatenate(parts)
-        fails = np.concatenate([fails, fails[:len(a) - len(fails)][::-1]])
         left.append((a[fails.any(axis=1)], b[fails.any(axis=0)]))
     return left
 
@@ -541,7 +514,7 @@ def _screened_cutoff(ev: _MarginEvaluator, grid: tuple[int, int], refine_levels:
         samples = [(a[[0, len(a) // 2, -1]], b[[0, len(b) // 2, -1]]) for a, b in meshgrids]
         return _screened_peaks(ev, meshgrids, _peaks(ev.slopes, samples))
 
-    s_grid, at, solved = _screened_peaks(ev, [(_grid(n_a), _grid(n_b))], [guess])[0]
+    s_grid, at, solved = _screened_peaks(ev, [_grid(n_a, n_b)], [guess])[0]
     s_max, (bind_a, bind_b), patches = _refine(level_peaks, s_grid, at, n_a, n_b,
                                                refine_levels, ev.b_ideal)
     i_star = _cutoff(ev, s_max, (bind_a, bind_b))
@@ -568,9 +541,12 @@ def find_cutoff(theta: float, family: str = "new",
     ``refine_levels`` refinement passes around its maximum and around the
     ideal point, gives I* = 1 - sin^2 theta / max s_min, rounded up to the
     first float whose slope covers that maximum; it serves both branches.
+    Only the grid's rows with a <= pi/4 are needed, since the others
+    mirror them (see the module docstring), so the maximum and the binding
+    angle pair are taken on those.
 
-    The pencil is solved at the four corners of [0, pi/2]^2 for a guess s0
-    and then only where ``_screen`` at s0 leaves points. A refinement level
+    The pencil is solved at the two corners a = 0 for a guess s0 and then
+    only where ``_screen`` at s0 leaves points. A refinement level
     takes two batched solves: the 3x3 samples of first, middle and last
     angles of both its patches (no angle repeated on their axes), then,
     with each patch screened from the exact maximum over its own sample,
@@ -585,8 +561,8 @@ def find_cutoff(theta: float, family: str = "new",
     """
     grid = _check_grid(grid, refine_levels)
     ev = _MarginEvaluator(theta, family)
-    ends = np.array([0.0, np.pi / 2])
-    return _screened_cutoff(ev, grid, refine_levels, _peaks(ev.slopes, [(ends, ends)])[0])
+    corners = (np.array([0.0]), np.array([0.0, np.pi / 2]))
+    return _screened_cutoff(ev, grid, refine_levels, _peaks(ev.slopes, [corners])[0])
 
 
 def verify_cutoff(cert: LinearBoundCertificate,
@@ -595,7 +571,8 @@ def verify_cutoff(cert: LinearBoundCertificate,
 
     Scans the margins at the certificate's I*, both branches' margins (see
     the module docstring), over the grid (its own unless ``grid`` is given)
-    and its refinement patches. Exact margins are taken where ``_screen``
+    and its refinement patches, on the rows with a <= pi/4 as
+    ``find_cutoff`` does. Exact margins are taken where ``_screen``
     leaves points, or on all of a meshgrid it clears, in one batch per
     refinement level; a point it clears has a margin above delta less about
     6e-15 (1 + s), so a meshgrid's worst margin and where it lies (the next
@@ -625,6 +602,6 @@ def verify_cutoff(cert: LinearBoundCertificate,
         return [(*peak, kept) for peak, kept in
                 zip(_peaks(lambda a, b: -ev.margins(cert.i_star, a, b), left), left)]
 
-    neg, at, _ = peaks([(_grid(n_a), _grid(n_b))])[0]
+    neg, at, _ = peaks([_grid(n_a, n_b)])[0]
     neg, at, _ = _refine(peaks, neg, at, n_a, n_b, cert.refine_levels, ev.b_ideal)
     return _verified(ev, cert.i_star, neg, at)

@@ -22,6 +22,7 @@ import numpy as np
 from . import bell, certify, quantum
 from .bell import CorrelatorTable
 from .matrixcore import block_fidelity, kron
+from .pipeline import _ANGLE_SLACK, _check_range
 from .quantum import DomainError, IDENTITY_2, SIGMA_X, SIGMA_Z
 
 
@@ -46,6 +47,8 @@ class NoiseModel:
             angle = getattr(self, name)
             if angle is not None and not math.isfinite(angle):
                 raise DomainError(f"{name}={float(angle)!r} is not a finite number")
+        if self.instrument_theta is not None:
+            _check_range(self.instrument_theta, 0.0, math.pi / 4, "instrument_theta")
         if not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility {self.visibility} outside [0, 1]")
         if not 0.0 <= self.branch_depolarization <= 1.0:
@@ -111,27 +114,41 @@ def _flip_second_bob_setting(t: CorrelatorTable) -> CorrelatorTable:
     return CorrelatorTable(joint, t.marginal_a, mb)
 
 
+def _shifted(setting: float, offset: float, name: str) -> float:
+    """A measurement setting plus a party's offset, if it stays in [0, pi/2].
+
+    Checks what ``quantum``'s observables check, with the same slack, but
+    names the offset that moved the setting.
+    """
+    angle = setting + offset
+    if not -_ANGLE_SLACK <= angle <= math.pi / 2 + _ANGLE_SLACK:
+        raise DomainError(f"{name}={offset!r} moves a setting to {angle!r}, "
+                          f"outside [0, {math.pi / 2:.6g}]")
+    return angle
+
+
 def simulate_run(noise: NoiseModel, theta: float) -> RunStatistics:
     """Exact statistics of the two-step recipe under a noise model.
 
     Step one measures CHSH on the source at the phi+ settings; step two
     applies the instrument to Bob's half and evaluates the symmetric
     inequality on branch 0 and its relabeled counterpart on branch 1, at
-    the branch-test settings. All angles carry the party's offset.
+    the branch-test settings. All angles carry the party's offset; an
+    offset that moves a setting out of [0, pi/2] is a DomainError naming it.
     """
+    a1 = _shifted(np.pi / 4, noise.alice_angle_offset, "alice_angle_offset")
+    b1 = _shifted(np.pi / 4, noise.bob_angle_offset, "bob_angle_offset")
+    b2 = _shifted(quantum.bob_ideal_angle(theta, "new"), noise.bob_angle_offset,
+                  "bob_angle_offset")
     rho = noisy_source(noise.visibility)
-    a1 = np.pi / 4 + noise.alice_angle_offset
-    b1 = np.pi / 4 + noise.bob_angle_offset
     beta = bell.chsh_value(_flip_second_bob_setting(
         bell.correlators_from_state(rho, a1, b1)))
 
     theta_prime = theta if noise.instrument_theta is None else noise.instrument_theta
     instr = noisy_instrument(theta_prime, noise.branch_depolarization)
     register = quantum.apply_instrument(instr, rho, side="bob")
-    a2 = np.pi / 4 + noise.alice_angle_offset
-    b2 = quantum.bob_ideal_angle(theta, "new") + noise.bob_angle_offset
-    t0 = bell.correlators_from_state(register.state(0), a2, b2)
-    t1 = bell.correlators_from_state(register.state(1), a2, b2)
+    t0 = bell.correlators_from_state(register.state(0), a1, b2)
+    t1 = bell.correlators_from_state(register.state(1), a1, b2)
     i0 = bell.new_bell_value(t0, theta)
     i1 = bell.new_bell_value(bell.relabel_branch1(t1), theta)
     return RunStatistics(beta=beta, i0=i0, i1=i1, p0=register.probability(0))

@@ -25,7 +25,7 @@ DEFAULT_REFINE_LEVELS = 2
 VERIFY_TOL = 1e-9
 # names the solver in the CLI cache key; change it whenever a solver change
 # changes the certificates, so cached ones from the old solver are not served
-SOLVER_TAG = "pencil1"
+SOLVER_TAG = "pencil2"
 
 LINEAR_WARP = "linear"
 
@@ -141,8 +141,8 @@ class LinearBoundCertificate:
     Records the full verification metadata: grid resolution, refinement
     depth, the verification tolerance, the worst margin of the final scan,
     the binding angle pair ``worst_a``, ``worst_b`` (where the computed
-    maximum slope lies, so I* cannot be lowered there; when the corners
-    a = 0 and a = pi/2 both bind, roundoff decides which one is named), and
+    maximum slope lies, so I* cannot be lowered there, always with
+    a <= pi/4, since the solver works on that half of the square), and
     Bob's channel reparametrization (from the angle, see ``quantum.AngleWarp``).
     """
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import ROT_X_PI
 
-from diqc import bell, certify, quantum
+from diqc import bell, certify, pipeline, quantum
 from diqc.certify import (
     BETA_STAR,
     CHSH_QUANTUM_BOUND,
@@ -230,23 +230,31 @@ def test_kernel_leak_names_its_input(monkeypatch):
 # ---- the screen against a solve at every grid point ----
 
 
-def _unscreened_search(f, grid, refine_levels, b_ideal):
+def _axes(grid, half=True):
+    # the grid's axes; with half, its a-axis only up to the middle row
+    a, b = (np.linspace(0.0, np.pi / 2, n) for n in grid)
+    return (a[:(grid[0] + 1) // 2] if half else a), b
+
+
+def _unscreened_search(f, grid, refine_levels, b_ideal, half=True):
     # largest value of f at every point of the grid and of every refinement
     # patch, and the patches, patch by patch: each level refines around the
     # running best point and around the ideal point, one coarse cell wide,
-    # shrinking eightfold per level, and only a larger value moves the best
+    # shrinking eightfold per level, and only a larger value moves the best;
+    # with half, on a <= pi/4 as find_cutoff, else on all of [0, pi/2]^2
     def peak(a, b):
-        vals = f(a, b)
+        vals = f(a[:, None], b[None, :])
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         return float(vals[i, j]), (float(a[i]), float(b[j]))
 
-    best, best_at = peak(*(np.linspace(0.0, np.pi / 2, n) for n in grid))
+    best, best_at = peak(*_axes(grid, half))
     h = [(np.pi / 2) / (n - 1) for n in grid]
+    ends = (np.pi / 4 if half else np.pi / 2, np.pi / 2)
     centers, patches = [best_at, (np.pi / 4, b_ideal)], []
     for _ in range(refine_levels):
         next_centers = []
         for center in centers:
-            patch = tuple(certify._patch_axis(c, w) for c, w in zip(center, h))
+            patch = tuple(certify._patch_axis(c, w, e) for c, w, e in zip(center, h, ends))
             value, at = peak(*patch)
             if value > best:
                 best, best_at = value, at
@@ -258,20 +266,28 @@ def _unscreened_search(f, grid, refine_levels, b_ideal):
 
 
 def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
-                      refine_levels=certify.DEFAULT_REFINE_LEVELS):
+                      refine_levels=certify.DEFAULT_REFINE_LEVELS, half=True):
     # reference solve with no screen: exact slopes at every grid point, the
-    # same refinement patches, and a margin scan over the grid and patches
+    # same refinement patches, and a margin scan over the grid and patches,
+    # on a <= pi/4 with half, else on all of [0, pi/2]^2
     ev = certify._MarginEvaluator(theta, family)
     s_max, (bind_a, bind_b), patches = _unscreened_search(
-        ev.slopes, grid, refine_levels, ev.b_ideal)
+        ev.slopes, grid, refine_levels, ev.b_ideal, half)
     i_star = certify._cutoff(ev, s_max, (bind_a, bind_b))
-    a, b = np.linspace(0.0, np.pi / 2, grid[0]), np.linspace(0.0, np.pi / 2, grid[1])
-    worst = min(float(ev.margins(i_star, pa, pb).min()) for pa, pb in [(a, b), *patches])
+    worst = min(float(ev.margins(i_star, pa[:, None], pb[None, :]).min())
+                for pa, pb in [_axes(grid, half), *patches])
     s, mu = slope_and_intercept(theta, i_star)
     return certify.LinearBoundCertificate(
         theta=theta, family=family, i_star=i_star, slope=s, intercept=mu,
         grid_a=grid[0], grid_b=grid[1], refine_levels=refine_levels, tol=certify.VERIFY_TOL,
         worst_margin=worst, worst_a=bind_a, worst_b=bind_b, delta_variant=ev.warp.variant)
+
+
+def _corner_guess(ev):
+    # slope and intercept of the cutoff that find_cutoff's corner guess gives
+    corners = (np.array([0.0]), np.array([0.0, np.pi / 2]))
+    guess = certify._peaks(ev.slopes, [corners])[0]
+    return slope_and_intercept(ev.theta, certify._cutoff(ev, *guess))
 
 
 def _positive_definite(m):
@@ -303,11 +319,35 @@ def test_screened_cutoff_equals_full_grid_solve_deeply_refined():
             == _full_grid_cutoff(0.5, "new", grid=(101, 101), refine_levels=3))
 
 
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_half_square_cutoff_holds_on_the_full_square(theta, family, cutoffs):
+    # the rows a > pi/4 mirror the solved ones: an unscreened solve over all
+    # of [0, pi/2]^2 moves I* by at most 2 ulps, and an unscreened margin
+    # scan there at the certificate's I* clears -VERIFY_TOL on both halves
+    cert = cutoffs.get(theta, family)
+    ev = certify._MarginEvaluator(theta, family)
+    grid, levels = certify.DEFAULT_GRID, certify.DEFAULT_REFINE_LEVELS
+    s_max, at, _ = _unscreened_search(ev.slopes, grid, levels, ev.b_ideal, half=False)
+    assert abs(certify._cutoff(ev, s_max, at) - cert.i_star) <= 2 * np.spacing(cert.i_star)
+    scanned = []
+
+    def neg_margins(a, b):
+        scanned.append(ev.margins(cert.i_star, a, b))
+        return -scanned[-1]
+
+    neg, _, _ = _unscreened_search(neg_margins, grid, levels, ev.b_ideal, half=False)
+    assert -neg >= -certify.VERIFY_TOL
+    rows = (grid[0] + 1) // 2
+    assert scanned[0][:rows].min() >= -certify.VERIFY_TOL
+    assert scanned[0][rows:].min() >= -certify.VERIFY_TOL
+
+
 @pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
 def test_low_slope_guess_recovers_grid_maximum(theta, family):
     ev = certify._MarginEvaluator(theta, family)
-    a = b = np.linspace(0.0, np.pi / 2, 201)
-    slopes = ev.slopes(a, b)
+    a, b = _axes(certify.DEFAULT_GRID)
+    slopes = ev.slopes(a[:, None], b[None, :])
     i, j = np.unravel_index(np.argmax(slopes), slopes.shape)
     peak = (float(slopes[i, j]), (float(a[i]), float(b[j])))
     expected = _full_grid_cutoff(theta, family)
@@ -319,8 +359,9 @@ def test_low_slope_guess_recovers_grid_maximum(theta, family):
 
 @pytest.mark.parametrize("theta, family", [(0.3, "new"), (0.6, "tilted")])
 def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
-    # outside the refinement patches the pencil is solved only at the four
-    # corners and at the grid points the screen cannot clear
+    # outside the refinement patches the pencil is solved only at the two
+    # corners a = 0 and at the points of the half grid the screen cannot
+    # clear: 3 to 8 points in all over the 50 default sweep-fig4 angles
     solved = []
     in_patches = [False]
     slopes, refine = certify._MarginEvaluator.slopes, certify._refine
@@ -341,7 +382,7 @@ def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
     monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
     monkeypatch.setattr(certify, "_refine", uncounted_refine)
     find_cutoff(theta, family)
-    assert 4 < sum(solved) <= 10
+    assert 2 < sum(solved) <= 8
 
 
 def test_screen_clearing_every_point_names_its_input():
@@ -361,14 +402,12 @@ def test_screen_planes_match_operator_stacks(theta, family):
     # twirled - s0 bops - shift from the stacks, at the corner guess's s0;
     # find_cutoff and verify_cutoff screen this one operator
     ev = certify._MarginEvaluator(theta, family)
-    ends = np.array([0.0, np.pi / 2])
-    guess = certify._peaks(ev.slopes, [(ends, ends)])[0]
-    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *guess))
+    s0, mu0 = _corner_guess(ev)
     shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
     a = b = np.linspace(0.0, np.pi / 2, 201)
     x, y = ev.separable(a, b)
     planes = _lower_stack(x, ev.coefficients(s0, shift), y)
-    twirled, bops = ev.stacks(a, b)
+    twirled, bops = ev.stacks(a[:, None], b[None, :])
     expected = twirled - s0 * bops - shift * np.eye(4)
     i, j = certify._LOWER
     assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
@@ -377,7 +416,6 @@ def test_screen_planes_match_operator_stacks(theta, family):
 def _termwise_stacks(ev, a, b):
     # the reference for _MarginEvaluator.stacks: every twirl and Bell term
     # formed and summed one at a time, in order, from closed-form factors
-    a, b = certify._pairs(a, b)
     wa = quantum.alice_dephasing_weight(a)[..., None, None]
     wb = quantum.bob_dephasing_weight(b, ev.theta, ev.kind.family)[..., None, None]
     sel_a, sel_b = 1 + (a > np.pi / 4), 1 + (b > ev.b_ideal)
@@ -412,7 +450,7 @@ def test_stacks_equal_termwise_sums(theta, family):
     rng = np.random.default_rng(47)
     a = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
     b = np.concatenate([[0.0, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
-    for pa, pb in [(a, b), (a[:, None], b[:, None])]:
+    for pa, pb in [(a[:, None], b[None, :]), (a[:, None], b[:, None])]:
         for got, expected in zip(ev.stacks(pa, pb), _termwise_stacks(ev, pa, pb)):
             assert got.shape == expected.shape
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -425,18 +463,23 @@ def test_stacks_equal_termwise_sums(theta, family):
     (np.pi / 4, "tilted", "0x1.7d31d5d690d19p-1", "-0x1.eb6be580531a8p-118"),
 ])
 def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin):
+    # the CLI cache serves a certificate under the solver's tag, so new
+    # golden values without a new tag would let stale cached ones through
+    assert pipeline.SOLVER_TAG == "pencil2"
     cert = find_cutoff(theta, family)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
 
 
 @pytest.mark.parametrize("theta, family, grid, refine_levels, i_star, worst_margin", [
     (0.08, "tilted", (151, 151), 3, "0x1.ffffe0767add0p-1", "0x1.b200000000000p-40"),
-    (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "0x1.8000000000000p-47"),
+    (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "0x1.a000000000000p-47"),
     (0.5, "new", (101, 131), 1, "0x1.ec607b7553942p-1", "0x1.0000000000000p-51"),
-    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebep-1", "-0x1.a12ce42e03cf9p-52"),
+    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebcp-1", "-0x1.11d67df701e7cp-51"),
 ])
 def test_nondefault_certificates_are_bit_stable(theta, family, grid, refine_levels,
                                                 i_star, worst_margin):
+    # the tag names these values for the CLI cache, as above
+    assert pipeline.SOLVER_TAG == "pencil2"
     cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
 
@@ -614,31 +657,20 @@ def test_operator_mirrors_in_alice_angle(theta, family, cutoffs):
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_mirrored_screen_leaves_what_a_full_screen_leaves(theta, family):
-    # (e) factoring every row of the default grid at the corner guess's
-    # slope leaves the rows and columns that the mirrored screen leaves
+    # (e) at the corner guess's slope, the LDL^T verdicts on every row of
+    # the default grid mirror row for row, and the rows a <= pi/4 hold what
+    # the screen leaves on the half grid
     ev = certify._MarginEvaluator(theta, family)
-    ends = np.array([0.0, np.pi / 2])
-    s0, mu0 = slope_and_intercept(theta, certify._cutoff(ev, *certify._peaks(ev.slopes, [(ends, ends)])[0]))
+    s0, mu0 = _corner_guess(ev)
     a = b = np.linspace(0.0, np.pi / 2, 201)
-    assert certify._mirror_rows(a) == 101
     x, y = ev.separable(a, b)
     c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
     fails = ~certify._pivots_positive(certify._planes(x, c, y))
-    left_a, left_b = certify._screen(ev, [(s0, mu0, a, b)])[0]
-    assert np.array_equal(left_a, a[fails.any(axis=1)])
-    assert np.array_equal(left_b, b[fails.any(axis=0)])
-
-
-def test_mirror_needs_a_symmetric_axis():
-    a = np.linspace(0.0, np.pi / 2, 201)
-    even = np.linspace(0.0, np.pi / 2, 152)
-    assert [certify._mirror_rows(x) for x in (a, even, a[:-1], a[1:-1], a + 1e-14)] \
-        == [101, 76, 200, 100, 201]
-    # the first ideal-point patch is symmetric about pi/4; a patch clipped
-    # at a = 0 is not
-    assert certify._mirror_rows(certify._patch_axis(np.pi / 4, a[1])) == 9
-    clipped = certify._patch_axis(0.0, a[1])
-    assert certify._mirror_rows(clipped) == len(clipped) == 9
+    assert np.array_equal(fails, fails[::-1])
+    half = fails[:101]
+    left_a, left_b = certify._screen(ev, [(s0, mu0, a[:101], b)])[0]
+    assert np.array_equal(left_a, a[:101][half.any(axis=1)])
+    assert np.array_equal(left_b, b[half.any(axis=0)])
 
 
 def _screened_points(monkeypatch):

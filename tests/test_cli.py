@@ -336,6 +336,17 @@ def test_simulate_error_names_a_nan_angle(flag, name, cache_dir, capsys):
     assert f"error: {name}=nan " in err
 
 
+@pytest.mark.parametrize("flag, value, name", [("alice-offset", "5", "alice_angle_offset"),
+                                               ("bob-offset", "-2", "bob_angle_offset"),
+                                               ("instrument-theta", "2", "instrument_theta")])
+def test_simulate_error_names_an_angle_out_of_range(flag, value, name, cache_dir, capsys):
+    code, out, err = run(["simulate", "--theta", "0.6", "--grid-n", "101",
+                          f"--{flag}={value}", "--cache-dir", str(cache_dir)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name}={float(value)!r} " in err
+
+
 def test_cache_dir_that_is_a_file_costs_a_warning_only(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")

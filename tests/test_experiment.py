@@ -110,6 +110,19 @@ def test_end_to_end_monotone_in_noise(cert):
         assert end_to_end(noise, THETA, cert).bound <= base + 1e-9
 
 
+def test_simulate_run_takes_settings_at_the_ends_of_their_range():
+    # offsets that move a setting onto 0 or pi/2, and instrument angles 0
+    # and pi/4, are in range, as the observables and the instrument take them
+    for noise in (NoiseModel(alice_angle_offset=np.pi / 4),
+                  NoiseModel(alice_angle_offset=-np.pi / 4),
+                  NoiseModel(bob_angle_offset=-np.pi / 4),
+                  NoiseModel(instrument_theta=0.0),
+                  NoiseModel(instrument_theta=np.pi / 4)):
+        simulate_run(noise, THETA)
+    with pytest.raises(quantum.DomainError, match=r"^alice_angle_offset=.* outside"):
+        simulate_run(NoiseModel(alice_angle_offset=np.pi / 4 + 1e-9), THETA)
+
+
 def test_end_to_end_rejects_tilted_cutoff(cert):
     # the simulated violations are of the symmetric inequality
     tilted = dataclasses.replace(cert, family="tilted")
