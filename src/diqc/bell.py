@@ -232,9 +232,9 @@ def relabel_branch1(t: CorrelatorTable) -> CorrelatorTable:
 
 
 # ---------------------------------------------------------------------------
-# vectorized operator stacks (numerical kernel used by the cutoff solver)
+# separable operator tables (numerical kernel used by the cutoff solver)
 
-# every Pauli product that occurs is real, so the stacks are float64
+# every Pauli product that occurs is real, so the tables are float64
 _X, _Z, _I = SIGMA_X.real, SIGMA_Z.real, IDENTITY_2.real
 _ZZ = np.kron(_Z, _Z)
 _XZ = np.kron(_X, _Z)
@@ -258,11 +258,6 @@ def alice_factors(a: np.ndarray) -> np.ndarray:
     return np.array([(cos + sin) / _SQRT2, (cos - sin) / _SQRT2, np.ones_like(a)])
 
 
-_P, _Q, _ONE = 0, 1, 2
-# rows of bob_factors
-_SIN, _COS, _ONES = 0, 1, 2
-
-
 def bob_factors(b: np.ndarray) -> np.ndarray:
     """Bob's coefficient rows (sin b, cos b, 1) over the angle array b.
 
@@ -273,85 +268,74 @@ def bob_factors(b: np.ndarray) -> np.ndarray:
     return np.array([np.sin(b), np.cos(b), np.ones_like(b)])
 
 
-class BellTerms:
-    """Separable form of one kind's Bell operator, its constants fixed once.
+def contract(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The entries sum_ij x[i] y[j] c[i, j] of a separable table c.
 
-    B(a, b) = sum_t alice_factors(a)[i_t] g_t(b) K_t / norm, where
-    g_t(b) = bob_factors(b)[j_t] * m_t / d_t and each K_t is a fixed real
-    Pauli product. The terms are A_0 (x) sz under B_0 - B_1, A_1 (x) sx
-    under B_0 + B_1, then A_0 (x) identity (and, for 'new', identity (x)
-    (B_0 - B_1)), in the summation order of ``operators``.
+    x has shape (m,) + sa and y (n,) + sb, where sa and sb have the same
+    length and broadcast (a meshgrid's (rows, 1) and (1, cols), or a point
+    list's (k, 1) twice); c has shape (m, n) + e. Returns
+    e + broadcast(sa, sb). Every product and sum is elementwise, the sums
+    running in index order, so each entry's bits depend on its own angle
+    pair alone, never on the points beside it, and no temporary holds more
+    than n times the output.
+    """
+    c = c.reshape(c.shape + (1,) * (x.ndim - 1))
+    xc = c[0] * x[0]
+    for ci, xi in zip(c[1:], x[1:]):
+        xc += ci * xi
+    out = xc[0] * y[0]
+    for xcj, yj in zip(xc[1:], y[1:]):
+        out += xcj * yj
+    return out
+
+
+class BellTerms:
+    """One kind's Bell operator as a table over Alice's and Bob's factors.
+
+    B(a, b) = sum_ij alice_factors(a)[i] bob_factors(b)[j] table[i, j],
+    where ``table`` is (3, 3, 4, 4) and each of its entries is a real Pauli
+    product times a constant: A_0 (x) sz under B_0 - B_1 in column 0,
+    A_1 (x) sx under B_0 + B_1 in column 1, A_0 (x) identity in column 2
+    and, for 'new', identity (x) (B_0 - B_1) in row 2. At the CHSH anchor,
+    where ``tilted_alpha`` is 0, both kinds are CHSH / (2 sqrt 2) and share
+    the tilted table, so their cutoffs coincide there; the 'new' constants
+    would differ from it only by rounding (cos 2 theta is 6e-17 at the
+    float nearest pi/4).
     """
 
     def __init__(self, kind: BellKind):
-        if kind.family == "new":
+        if kind.family == "new" and tilted_alpha(kind.theta) != 0.0:
             sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
-            diff, plus = (_SIN, 1.0, 2.0 * sb_t), (_COS, s2, 2.0 * cb_t)
-            marg = (_ONES, c2 / 4.0, 1.0)
-            terms = [(_P, *diff, _ZZ), (_Q, *diff, _XZ), (_Q, *plus, _ZX), (_P, *plus, _XX),
-                     (_P, *marg, _ZI), (_Q, *marg, _XI), (_ONE, _SIN, c2, 4.0 * sb_t, _IZ)]
-            self.norm = 1.0
-        elif kind.family == "tilted":
+            diff, plus, marg = 1.0 / (2.0 * sb_t), s2 / (2.0 * cb_t), c2 / 4.0
+            alone = c2 / (4.0 * sb_t)
+        elif kind.family != "chsh":
             alpha = tilted_alpha(kind.theta)
-            diff, plus, marg = (_SIN, 2.0, 1.0), (_COS, 2.0, 1.0), (_ONES, alpha, 1.0)
-            terms = [(_P, *diff, _ZZ), (_Q, *diff, _XZ), (_Q, *plus, _ZX), (_P, *plus, _XX),
-                     (_P, *marg, _ZI), (_Q, *marg, _XI)]
-            self.norm = float(np.sqrt(8.0 + 2.0 * alpha * alpha))
+            norm = np.sqrt(8.0 + 2.0 * alpha * alpha)
+            diff, plus, marg, alone = 2.0 / norm, 2.0 / norm, alpha / norm, 0.0
         else:
             raise DomainError("chsh has no single-parameter operator form here")
-        alice, bob, scale, divisor, paulis = zip(*terms)
-        self.alice, self.bob = np.array(alice), np.array(bob)
-        self.scale, self.divisor = np.array(scale), np.array(divisor)
-        self.paulis = np.array(paulis)
-
-    def factors(self, b: np.ndarray) -> np.ndarray:
-        """The rows g_t(b), shape (terms,) + b.shape (at least 1-D)."""
-        rows = bob_factors(b)[self.bob]
-        shape = (-1,) + (1,) * (rows.ndim - 1)
-        return rows * self.scale.reshape(shape) / self.divisor.reshape(shape)
+        zero = np.zeros((4, 4))
+        self.table = np.array([[diff * _ZZ, plus * _XX, marg * _ZI],
+                               [diff * _XZ, plus * _ZX, marg * _XI],
+                               [alone * _IZ, zero, zero]])
 
     def operators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Bell operators at the angle pairs of a and b, which broadcast.
 
-        Returns a real array of the broadcast shape plus (4, 4). Each matrix
-        is the same elementwise arithmetic on its own pair whatever the
-        shape around it: the products alice_factors[i_t] g_t K_t, summed in
-        term order, divided by the norm.
+        a and b have the same number of dimensions. Returns a real array of
+        the broadcast shape plus (4, 4), the table's ``contract`` with
+        ``alice_factors(a)`` and ``bob_factors(b)``.
         """
-        f = (alice_factors(a)[self.alice] * self.factors(b))[..., None, None]
-        # term by term, so that at most two stacks are alive at once
-        out = f[0] * self.paulis[0]
-        for g, k in zip(f[1:], self.paulis[1:]):
-            out += g * k
-        return out / self.norm
-
-
-def bell_terms(kind: BellKind,
-               b: np.ndarray) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], float]:
-    """Separable form of the Bell operator over Bob's angle array b.
-
-    Returns the terms (i, g, K) and a normalization n such that
-    B(a, b) = sum of alice_factors(a)[i] * g(b) * K over the terms, divided
-    by n; see ``BellTerms``.
-    """
-    terms = BellTerms(kind)
-    return list(zip(terms.alice.tolist(), terms.factors(b), terms.paulis)), terms.norm
-
-
-def bell_operators(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bell operators at the angle pairs of a and b, which broadcast.
-
-    ``BellTerms(kind).operators(a, b)``; agrees with the single-point
-    constructors to machine precision.
-    """
-    return BellTerms(kind).operators(a, b)
+        return np.moveaxis(contract(alice_factors(a), self.table, bob_factors(b)),
+                           (0, 1), (-2, -1))
 
 
 def bell_operator_grid(kind: BellKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack of Bell operators over the meshgrid of angle arrays.
 
-    Returns a real array of shape (len(a), len(b), 4, 4): ``bell_operators``
-    at a[:, None] and b[None, :].
+    Returns a real array of shape (len(a), len(b), 4, 4):
+    ``BellTerms(kind).operators`` at a[:, None] and b[None, :]; agrees with
+    the single-point constructors to machine precision.
     """
     a, b = np.atleast_1d(a), np.atleast_1d(b)
-    return bell_operators(kind, a[:, None], b[None, :])
+    return BellTerms(kind).operators(a[:, None], b[None, :])

@@ -31,31 +31,33 @@ angle the grid maximum sits at a corner. One pass over the grid then
 screens out every point whose operator (T - 1) + s0 (1 - B) - delta is
 positive definite, tested by an unpivoted LDL^T factorization.
 
-The screen builds no 4x4 operator stacks. The operator is separable,
-T - s0 B - mu0 = sum_ij x_i(a) y_j(b) C_ij, with six factors of a (the
-twirl's three and Alice's (p, q, 1)), six of b (the twirl's three and
-Bob's (sin b, cos b, 1)) and fixed real 4x4 matrices C_ij, so one
-contraction and one matrix product give its ten lower-triangle entries for
-a block of grid rows as a (10, rows, cols) array of contiguous planes, and
-the LDL^T runs on those planes entry by entry. The certificate covers
-every grid point, screened or mirrored, for five reasons:
+Every matrix comes from one table: T - s B - mu = sum_ij x_i(a) y_j(b) c_ij
+with six factors of a (the twirl's three and Alice's (p, q, 1)), six of b
+(the twirl's three and Bob's (sin b, cos b, 1)) and c = t - s b - mu e from
+the fixed 4x4 tables of the twirl, the Bell operator and the identity; the
+pencil (1 - T, 1 - B) has the table (e - t, e - b). The exact path
+contracts a table elementwise in a fixed order, on angle arrays that
+broadcast; the screen contracts it with one matrix product into ten
+contiguous lower-triangle planes per block of grid rows and runs the LDL^T
+on them entry by entry. The planes agree with the exact matrices to about
+1e-15 (1 + s0) per entry (a test holds them to 1e-14 (1 + s0) at four
+angles for both families), far below delta = 1e-12 (1 + s0). The
+certificate covers every grid point, screened or mirrored, for four
+reasons:
 
 * the margin lambda_min((T - 1) + s (1 - B)) is nondecreasing in s because
   1 - B is PSD, so a point that clears delta at s0 has s_min < s0 and still
   clears it at the final slope, which is at least s0;
-* the planes differ from the operator the stacks give by about 1e-15
-  (1 + s0) per entry (a test holds them to 1e-14 (1 + s0) at four angles
-  for both families), far below delta = 1e-12 (1 + s0);
 * when LDL^T completes with positive pivots, the factors are exact for a
   perturbation of norm about 5e-15 (1 + s0) (Higham, Accuracy and Stability
   of Numerical Algorithms, Thm 10.3), also far below delta;
 * U fixes the target, swaps Alice's dephasing axes H and V (the sides of
-  pi/4) and flips exactly the Bell terms whose Alice factor is odd under
-  a -> pi/2 - a (test_operator_mirrors_in_alice_angle), so mirrored points
-  have the same margins and slopes. The grid's a-axis is the first
-  (n_a + 1) // 2 angles of linspace(0, pi/2, n_a); each other grid row is
-  pi/2 - a of one of them to within 2.5e-16, which moves the operator by
-  about 1e-15 (1 + s), again far below delta and VERIFY_TOL;
+  pi/4) and flips exactly the Bell table's entries whose Alice factor is
+  odd under a -> pi/2 - a (test_operator_mirrors_in_alice_angle), so
+  mirrored points have the same margins and slopes. The grid's a-axis is
+  the first (n_a + 1) // 2 angles of linspace(0, pi/2, n_a); each other
+  grid row is pi/2 - a of one of them to within 2.5e-16, which moves the
+  operator by about 1e-15 (1 + s), again far below delta and VERIFY_TOL;
 * every remaining point, which includes every point with s_min >= s0 and
   every point where 1 - T leaks into the kernel of 1 - B, is solved
   exactly at its own angles.
@@ -72,12 +74,11 @@ confirms the certificate.
 The exact work is batched as far as its data dependencies allow: a batched
 slope call takes about 0.18 ms for one point and 7 us for each further one
 (2-vCPU host), so the call costs more than the 2 to 18 points it holds
-here. The stacks take angle arrays that broadcast, so the points of
-several meshgrids go to one call as one point list. A refinement level's
-patches depend only on the level before, so a level makes two solves,
-both patches' samples and then every point their own screens leave, with
-one LDL^T pass over both patches between them, and the final scan is one
-call. The batching cannot move the certificate: each matrix comes from the
+here, and the points of several meshgrids share a call. A refinement
+level's patches depend only on the level before, so a level makes two
+solves, both patches' samples and then every point their own screens
+leave, with one LDL^T pass over both patches between them, and the final
+scan is one call. The batching cannot move the certificate: each matrix comes from the
 same elementwise arithmetic on its own angle pair wherever it sits, LAPACK
 factors each 4x4 of a batch on its own, and ties break row-major within a
 meshgrid and then in meshgrid order, a later meshgrid winning only with a
@@ -113,6 +114,10 @@ _REFINE_POINTS = 17
 _BLOCK_MATRICES = 16 * 201
 # lower triangle of a 4x4 matrix, the entries the screen builds
 _LOWER = np.tril_indices(4)
+# for each entry (i, j) of a symmetric 4x4 matrix, row-major, the place in
+# the lower triangle of the entry it equals
+_SYMMETRIC = np.array([max(i, j) * (max(i, j) + 1) // 2 + min(i, j)
+                       for i in range(4) for j in range(4)])
 _EYE = np.eye(4)
 # the screen clears a point when its operator exceeds delta = this * (1 + s0),
 # far above the errors of building and factoring it, about 1e-15 and 5e-15
@@ -126,10 +131,6 @@ _KERNEL_RTOL = 1e-15
 _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
                                             quantum.SIGMA_Z.real)]
                    for g in (np.eye(2), quantum.H_OBS.real, quantum.V_OBS.real)])
-# the four matrices the twirl mixes at a point, [term, a > pi/4, b > b_ideal],
-# as indices into (P, twirl[0, 0], ..., twirl[2, 2]): P, twirl[0, j],
-# twirl[i, 0] and twirl[i, j] with i and j the axes on either side
-_MIXES = np.array([[[0, 0], [0, 0]], [[2, 3], [2, 3]], [[4, 4], [7, 7]], [[5, 6], [8, 9]]])
 
 
 # ---------------------------------------------------------------------------
@@ -146,89 +147,75 @@ class _MarginEvaluator:
     """Margins and pencil slopes of the operator inequality, vectorized.
 
     Precomputes everything that depends on (theta, family) alone: the
-    target projector and its conjugations by the dephasing axes, the Bell
-    terms and the screen's coefficient tables. Every operator involved is
-    real, so the stacks are float64.
+    target projector, its conjugations by the dephasing axes and the one
+    table every operator is built from. Every operator involved is real, so
+    the matrices are float64.
     """
 
     def __init__(self, theta: float, family: str):
         self.theta = float(theta)
         self.kind = _kind(theta, family)
-        self.bell = bell.BellTerms(self.kind)
         self.warp = quantum.bob_warp(theta, family)
         self.b_ideal = self.warp.b_ideal
         self.c2 = math.cos(theta) ** 2
         self._proj = quantum.projector(quantum.partial_entangled_state(theta)).real
-        # the twirl is sum_ij x_i(a) y_j(b) twirl[i, j] with the factors
-        # x = (wa, (1 - wa) [a <= pi/4], (1 - wa) [a > pi/4]) and y likewise
-        # at b_ideal, which fold in the dephasing-axis selection of ``stacks``
         self._twirl = _LIFTS @ self._proj @ _LIFTS
-        self._mixes = np.concatenate([self._proj[None], self._twirl.reshape(9, 4, 4)])[_MIXES]
-        # separable's coefficients c0 - s0 c1 - shift c2 over Alice's factors
-        # (twirl's three, alice_factors) and Bob's (twirl's three, bob_factors)
-        terms = self.bell
-        c = np.zeros((3, 6, 6, 10))
-        c[0, :3, :3] = self._twirl[..., _LOWER[0], _LOWER[1]]
-        np.add.at(c[1], (3 + terms.alice, 3 + terms.bob),
-                  (terms.scale / terms.divisor / terms.norm)[:, None]
-                  * terms.paulis[:, _LOWER[0], _LOWER[1]])
-        c[2, 5, 5] = _EYE[_LOWER]
-        self._coeffs = c
+        # the table [k, i, j] of the twirl (k = 0), the Bell operator (1) and
+        # the identity (2) over the factors of ``factors``: the twirl's block
+        # is i, j < 3, the Bell table's i, j >= 3 and the identity sits on
+        # the product of the rows of ones
+        c = np.zeros((3, 6, 6, 4, 4))
+        c[0, :3, :3] = self._twirl
+        c[1, 3:, 3:] = bell.BellTerms(self.kind).table
+        c[2, 5, 5] = _EYE
+        # kept as the ten lower-triangle entries of each matrix, in _LOWER order
+        self._table = np.ascontiguousarray(c[..., _LOWER[0], _LOWER[1]])
+        # the pencil (1 - T, 1 - B), its two tables side by side
+        self._pencil = np.concatenate([self._table[2] - self._table[0],
+                                       self._table[2] - self._table[1]], axis=-1)
 
-    def _weights(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's dephasing weight at a and Bob's at b, which is hers at the warped b."""
+    def factors(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's six factors, shape (6,) + a.shape, and Bob's, (6,) + b.shape.
+
+        Alice's are the twirl's three, (wa, (1 - wa) [a <= pi/4],
+        (1 - wa) [a > pi/4]) with wa her dephasing weight, which select the
+        dephasing axis on her side of pi/4, then ``bell.alice_factors``.
+        Bob's are the twirl's three at his weight and b_ideal, then
+        ``bell.bob_factors``, whose row of ones also carries the identity.
+        """
+        # both sides' twirl rows in one pass, Bob's weight being Alice's at warp(b)
         w = quantum.alice_dephasing_weight(np.concatenate([a.ravel(), self.warp(b).ravel()]))
-        return w[:a.size].reshape(a.shape), w[a.size:].reshape(b.shape)
+        far = np.concatenate([a.ravel() > np.pi / 4, b.ravel() > self.b_ideal])
+        rows = np.array([w, (1.0 - w) * ~far, (1.0 - w) * far])
+        return (np.concatenate([rows[:, :a.size].reshape((3,) + a.shape), bell.alice_factors(a)]),
+                np.concatenate([rows[:, a.size:].reshape((3,) + b.shape), bell.bob_factors(b)]))
 
-    def stacks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Channel-twirled projector stack and Bell stack at the angle pairs.
+    def coefficients(self, s: float, shift: float) -> np.ndarray:
+        """The (6, 6, 10) table of T - s B - shift over ``factors``."""
+        c0, c1, c2 = self._table
+        return c0 - s * c1 - shift * c2
 
-        a and b are float arrays that broadcast against each other: a
-        meshgrid passes a[:, None] and b[None, :] for stacks of shape
-        (len(a), len(b), 4, 4), and a point list two equal-length (n, 1)
-        columns. Every factor is elementwise in its own angle, so a
-        matrix's bits do not depend on the points beside it.
-        The twirl is wa wb P + wa (1 - wb) twirl[0, j] + (1 - wa) wb
-        twirl[i, 0] + (1 - wa) (1 - wb) twirl[i, j], summed in that order,
-        with i and j the dephasing axes on either side of pi/4 and b_ideal.
+    def operators(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The matrices of k tables at the angle pairs of a and b.
+
+        c holds the tables side by side, shape (6, 6, 10 k). a and b are 2-D
+        float arrays that broadcast against each other: a meshgrid passes
+        a[:, None] and b[None, :], a point list two equal-length (n, 1)
+        columns. Returns shape (k,) + broadcast + (4, 4); see
+        ``bell.contract``.
         """
-        wa, wb = self._weights(a, b)
-        weights = np.array([wa, 1.0 - wa])[:, None] * np.array([wb, 1.0 - wb])
-        terms = (weights.reshape((4,) + weights.shape[2:])[..., None, None]
-                 * self._mixes[:, (a > np.pi / 4).astype(int), (b > self.b_ideal).astype(int)])
-        return terms[0] + terms[1] + terms[2] + terms[3], self.bell.operators(a, b)
-
-    def separable(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Separable factors of the operators on the meshgrid of a and b.
-
-        Returns x of shape (len(a), 6) and y of shape (6, len(b)) such that,
-        with c = ``coefficients(s0, shift)``, entry e of the lower triangle
-        (in ``_LOWER`` order) of T - s0 B - shift at (a[r], b[k]) is
-        sum_ij x[r, i] c[i, j, e] y[j, k]. Alice's factors are the twirl's
-        three and ``bell.alice_factors``; Bob's are the twirl's three and
-        ``bell.bob_factors``, whose row of ones also carries the shift.
-        """
-        wa, wb = self._weights(a, b)
-        far_a, far_b = a > np.pi / 4, b > self.b_ideal
-        x = np.concatenate([[wa, (1.0 - wa) * ~far_a, (1.0 - wa) * far_a],
-                            bell.alice_factors(a)]).T
-        y = np.concatenate([[wb, (1.0 - wb) * ~far_b, (1.0 - wb) * far_b], bell.bob_factors(b)])
-        return x, y
-
-    def coefficients(self, s0: float, shift: float) -> np.ndarray:
-        """The (6, 6, 10) coefficients c of T - s0 B - shift; see ``separable``."""
-        c0, c1, c2 = self._coeffs
-        return c0 - s0 * c1 - shift * c2
+        x, y = self.factors(a, b)
+        e = bell.contract(x, c, y)
+        e = e.reshape((-1, 10) + e.shape[1:])[:, _SYMMETRIC]
+        return e.reshape(e.shape[:1] + (4, 4) + e.shape[2:]).transpose(0, 3, 4, 1, 2)
 
     def margins(self, i_star: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of the bound operator at cutoff ``i_star``.
 
-        Takes the angles as ``stacks`` does.
+        Takes the angles as ``operators`` does.
         """
         s, mu = slope_and_intercept(self.theta, i_star)
-        twirled, bops = self.stacks(a, b)
-        m = twirled - s * bops - mu * _EYE
-        return np.linalg.eigvalsh(m)[..., 0]
+        return np.linalg.eigvalsh(self.operators(self.coefficients(s, mu), a, b)[0])[..., 0]
 
     def slopes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Smallest slope s whose bound operator is PSD, per angle pair.
@@ -237,11 +224,11 @@ class _MarginEvaluator:
         the range of P, after whitening Q there. Eigenvalues of P at
         roundoff level relative to its norm count as its kernel, where Q
         must vanish; any other kernel direction is a ChannelFamilyError
-        that names the first such pair. Takes the angles as ``stacks`` does.
+        that names the first such pair. Takes the angles as ``operators`` does.
         """
-        twirled, bops = self.stacks(a, b)
-        w, v = np.linalg.eigh(_EYE - bops)
-        g = v.swapaxes(-1, -2) @ (_EYE - twirled) @ v
+        q, p = self.operators(self._pencil, a, b)
+        w, v = np.linalg.eigh(p)
+        g = v.swapaxes(-1, -2) @ q @ v
         kernel = w <= _KERNEL_RTOL * w[..., -1:]
         if kernel.any():
             leak = kernel & (g.diagonal(0, -2, -1) > VERIFY_TOL)
@@ -314,11 +301,11 @@ def _rows(n_b: int) -> int:
 def _peaks(f, meshgrids: list[Patch]) -> list[Peak]:
     """Largest value of f over each meshgrid, and where it is.
 
-    f takes angles as ``_MarginEvaluator.stacks`` does. The meshgrids'
+    f takes angles as ``_MarginEvaluator.operators`` does. The meshgrids'
     points, each meshgrid row-major and in the given order, go to f as one
     point list, ``_BLOCK_MATRICES`` points per call, which bounds the size
-    of the temporary operator stacks; ties break as np.argmax over each
-    meshgrid does.
+    of the temporary matrices; ties break as np.argmax over each meshgrid
+    does.
     """
     pa = np.concatenate([a.repeat(len(b)) for a, b in meshgrids])[:, None]
     pb = np.concatenate([b for a, b in meshgrids for _ in a])[:, None]
@@ -402,10 +389,14 @@ def _minus(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _planes(x: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Lower-triangle planes (10, len(x), y.shape[1]) with the separable factors x, c, y.
+    """Lower-triangle planes (10, rows, cols) of a table c over a meshgrid block.
 
-    One contraction and one matrix product; entry e of the lower triangle
-    (in ``_LOWER`` order) is the contiguous plane [e].
+    x and y are the block's factors from ``_MarginEvaluator.factors``, x
+    transposed to (rows, 6) and y as it is, (6, cols); c is a (6, 6, 10)
+    table of lower triangles. Entry e of the lower triangle (in ``_LOWER``
+    order) is the contiguous plane [e]. One contraction and one matrix
+    product, which sum in an order of BLAS's choosing, so the planes match
+    ``bell.contract``'s entries to roundoff only.
     """
     return np.einsum("ri,ije->erj", x, c) @ y
 
@@ -432,14 +423,15 @@ def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.
     angles of a and of b, in order, whose rows and columns hold every point
     where LDL^T of T - s B - (mu + _SCREEN_RTOL (1 + s)) fails; both are
     empty if it fails nowhere. The LDL^T runs on the (10, rows, cols)
-    planes of ev's separable factors. Row blocks of the jobs in order,
+    planes of ev's table (``_planes``). Row blocks of the jobs in order,
     ``_rows(len(b))`` rows each, are factored together while they hold at
     most ``_BLOCK_MATRICES`` points, so a grid takes one pass per block and
     a refinement level's patches one pass in all.
     """
     # the factors of every job's rows and columns come from one call
-    x, y = ev.separable(np.concatenate([a for _, _, a, _ in jobs]),
-                        np.concatenate([b for *_, b in jobs]))
+    x, y = ev.factors(np.concatenate([a for _, _, a, _ in jobs]),
+                      np.concatenate([b for *_, b in jobs]))
+    x = np.ascontiguousarray(x.T)
     blocks, row, col = [], 0, 0
     for job, (s, mu, a, b) in enumerate(jobs):
         c = ev.coefficients(s, mu + _SCREEN_RTOL * (1.0 + s))

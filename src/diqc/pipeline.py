@@ -25,7 +25,7 @@ DEFAULT_REFINE_LEVELS = 2
 VERIFY_TOL = 1e-9
 # names the solver in the CLI cache key; change it whenever a solver change
 # changes the certificates, so cached ones from the old solver are not served
-SOLVER_TAG = "pencil2"
+SOLVER_TAG = "pencil3"
 
 LINEAR_WARP = "linear"
 

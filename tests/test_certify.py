@@ -297,9 +297,9 @@ def _positive_definite(m):
 
 def _lower_stack(x, c, y):
     # the screen's planes as a stack [r, k, i, j] with the lower triangle
-    # filled, lined up with _MarginEvaluator.stacks
-    m = np.empty((4, 4, len(x), y.shape[1]))
-    m[certify._LOWER] = certify._planes(x, c, y)
+    # filled, lined up with _MarginEvaluator.operators
+    m = np.empty((4, 4, x.shape[1], y.shape[1]))
+    m[certify._LOWER] = certify._planes(x.T, c, y)
     return np.moveaxis(m, (0, 1), (2, 3))
 
 
@@ -398,105 +398,130 @@ def test_screen_clearing_every_point_names_its_input():
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screen_planes_match_operator_stacks(theta, family):
-    # the lower triangle the screen builds from separable factors against
-    # twirled - s0 bops - shift from the stacks, at the corner guess's s0;
-    # find_cutoff and verify_cutoff screen this one operator
+    # the lower triangle the screen builds with one matrix product against
+    # the exact path's matrices of T - s0 B - shift, at the corner guess's
+    # s0; find_cutoff and verify_cutoff screen this one operator
     ev = certify._MarginEvaluator(theta, family)
     s0, mu0 = _corner_guess(ev)
-    shift = mu0 + certify._SCREEN_RTOL * (1.0 + s0)
+    c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
     a = b = np.linspace(0.0, np.pi / 2, 201)
-    x, y = ev.separable(a, b)
-    planes = _lower_stack(x, ev.coefficients(s0, shift), y)
-    twirled, bops = ev.stacks(a[:, None], b[None, :])
-    expected = twirled - s0 * bops - shift * np.eye(4)
+    x, y = ev.factors(a, b)
+    planes = _lower_stack(x, c, y)
+    expected = ev.operators(c, a[:, None], b[None, :])[0]
     i, j = certify._LOWER
     assert np.max(np.abs(planes[..., i, j] - expected[..., i, j])) <= 1e-14 * (1.0 + s0)
 
 
-def _termwise_stacks(ev, a, b):
-    # the reference for _MarginEvaluator.stacks: every twirl and Bell term
-    # formed and summed one at a time, in order, from closed-form factors
-    wa = quantum.alice_dephasing_weight(a)[..., None, None]
-    wb = quantum.bob_dephasing_weight(b, ev.theta, ev.kind.family)[..., None, None]
-    sel_a, sel_b = 1 + (a > np.pi / 4), 1 + (b > ev.b_ideal)
-    tw = ev._twirl
-    twirled = (wa * wb * ev._proj + wa * (1.0 - wb) * tw[0, sel_b]
-               + (1.0 - wa) * wb * tw[sel_a, 0] + (1.0 - wa) * (1.0 - wb) * tw[sel_a, sel_b])
-    sb, cb = np.sin(b), np.cos(b)
-    if ev.kind.family == "new":
-        sb_t, cb_t, s2, c2 = bell._new_coeffs(ev.theta)
-        diff, plus, marg, norm = sb / (2.0 * sb_t), cb * s2 / (2.0 * cb_t), c2 / 4.0, 1.0
-        extra = [(2, c2 * sb / (4.0 * sb_t), bell._IZ)]
-    else:
-        alpha = bell.tilted_alpha(ev.theta)
-        diff, plus, marg = 2.0 * sb, 2.0 * cb, alpha
-        norm, extra = float(np.sqrt(8.0 + 2.0 * alpha * alpha)), []
-    marg = np.full_like(b, marg)
-    terms = [(0, diff, bell._ZZ), (1, diff, bell._XZ), (1, plus, bell._ZX), (0, plus, bell._XX),
-             (0, marg, bell._ZI), (1, marg, bell._XI), *extra]
-    fa = bell.alice_factors(a)
-    (i, g, k), *rest = terms
-    bops = (fa[i] * g)[..., None, None] * k
-    for i, g, k in rest:
-        bops += (fa[i] * g)[..., None, None] * k
-    return twirled, bops / norm
+@pytest.mark.parametrize("family", ["new", "tilted"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
+def test_operators_do_not_depend_on_the_batch(theta, family):
+    # bit for bit, signs of zero included: each matrix equals the one built
+    # for its point alone, in a point list and in a meshgrid, which the
+    # batching of _peaks and the equality with _full_grid_cutoff rest on
+    ev = certify._MarginEvaluator(theta, family)
+    rng = np.random.default_rng(47)
+    a = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
+    b = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
+    s, mu = _corner_guess(ev)
+    for c in (ev.coefficients(s, mu), ev._pencil):
+        meshgrid = ev.operators(c, a[:, None], b[None, :])
+        points = ev.operators(c, a[:, None], b[:, None])
+        for k in range(len(a)):
+            alone = ev.operators(c, a[k:k + 1, None], b[k:k + 1, None])[:, 0, 0]
+            for got in (meshgrid[:, k, k], points[:, k, 0]):
+                assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+        for k, j in [(0, 5), (7, 3), (33, 1)]:
+            alone = ev.operators(c, a[k:k + 1, None], b[j:j + 1, None])[:, 0, 0]
+            assert np.array_equal(meshgrid[:, k, j].view(np.int64), alone.view(np.int64))
 
 
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
-def test_stacks_equal_termwise_sums(theta, family):
-    # bit for bit, signs of zero included, on a meshgrid and on a point list
+def test_operators_match_pointwise_oracle(theta, family):
+    # the table's target twirl and Bell operator against the public
+    # channels applied to the target and the single-point constructors
     ev = certify._MarginEvaluator(theta, family)
-    rng = np.random.default_rng(47)
-    a = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
-    b = np.concatenate([[0.0, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
-    for pa, pb in [(a[:, None], b[None, :]), (a[:, None], b[:, None])]:
-        for got, expected in zip(ev.stacks(pa, pb), _termwise_stacks(ev, pa, pb)):
-            assert got.shape == expected.shape
-            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    s, mu = _corner_guess(ev)
+    target = quantum.projector(quantum.partial_entangled_state(theta))
+    build = bell.new_bell_operator if family == "new" else bell.tilted_operator
+    rng = np.random.default_rng(53)
+    a = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 20)])
+    b = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 20)])
+    margins = ev.operators(ev.coefficients(s, mu), a[:, None], b[:, None])[0, :, 0]
+    pencil = ev.operators(ev._pencil, a[:, None], b[:, None])[:, :, 0]
+    for k, (x, y) in enumerate(zip(a, b)):
+        twirled = quantum.apply_one_sided(quantum.dephasing_alice(x), target, "alice")
+        twirled = quantum.apply_one_sided(
+            quantum.dephasing_bob(y, theta, family), twirled, "bob").real
+        bop = build(theta, x, y).real
+        for got, expected in [(margins[k], twirled - s * bop - mu * np.eye(4)),
+                              (pencil[0, k], np.eye(4) - twirled),
+                              (pencil[1, k], np.eye(4) - bop)]:
+            assert np.max(np.abs(got - expected)) <= 1e-14 * (1.0 + s)
 
 
-@pytest.mark.parametrize("theta, family, i_star, worst_margin", [
-    (0.05, "new", "0x1.fffffc7a681f1p-1", "0x0.0p+0"),
-    (0.3, "tilted", "0x1.fed5e75e8ac5ap-1", "0x1.0000000000000p-49"),
-    (0.6, "new", "0x1.d3a7071aa623ap-1", "0x1.0000000000000p-52"),
-    (np.pi / 4, "tilted", "0x1.7d31d5d690d19p-1", "-0x1.eb6be580531a8p-118"),
-])
+def test_families_coincide_at_the_anchor(cutoffs):
+    # at theta = pi/4 both inequalities are CHSH / (2 sqrt 2): one Bell table
+    # and one certificate, so I*(new) <= I*(tilted) holds there with equality
+    tables = [bell.BellTerms(bell.BellKind(f, np.pi / 4)).table for f in ("new", "tilted")]
+    assert np.array_equal(tables[0], tables[1])
+    assert cutoffs.get(np.pi / 4, "new") == dataclasses.replace(
+        cutoffs.get(np.pi / 4, "tilted"), family="new")
+
+
+def _golden_id(theta, family, grid, refine_levels):
+    return f"{theta:.4g}-{family}-{grid[0]}x{grid[1]}-r{refine_levels}"
+
+
+_DEFAULT_GOLDENS = [
+    (0.05, "new", "0x1.fffffc7a681f1p-1", "0x1.2600000000000p-38"),
+    (0.3, "tilted", "0x1.fed5e75e8ac59p-1", "-0x1.b4978b0016c94p-49"),
+    (0.6, "new", "0x1.d3a7071aa623ap-1", "-0x1.0000000000000p-52"),
+    (np.pi / 4, "tilted", "0x1.7d31d5d690d17p-1", "0x1.8000000000000p-53"),
+]
+_NONDEFAULT_GOLDENS = [
+    (0.08, "tilted", (151, 151), 3, "0x1.ffffe0767add0p-1", "0x1.3400000000000p-40"),
+    (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "-0x1.0000000000000p-49"),
+    (0.5, "new", (101, 131), 1, "0x1.ec607b7553942p-1", "0x1.0000000000000p-52"),
+    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebbp-1", "-0x1.a56b394b80f3ep-50"),
+]
+
+
+@pytest.mark.parametrize("theta, family, i_star, worst_margin", _DEFAULT_GOLDENS,
+                         ids=[_golden_id(t, f, certify.DEFAULT_GRID, certify.DEFAULT_REFINE_LEVELS)
+                              for t, f, *_ in _DEFAULT_GOLDENS])
 def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin):
     # the CLI cache serves a certificate under the solver's tag, so new
     # golden values without a new tag would let stale cached ones through
-    assert pipeline.SOLVER_TAG == "pencil2"
+    assert pipeline.SOLVER_TAG == "pencil3"
     cert = find_cutoff(theta, family)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
 
 
-@pytest.mark.parametrize("theta, family, grid, refine_levels, i_star, worst_margin", [
-    (0.08, "tilted", (151, 151), 3, "0x1.ffffe0767add0p-1", "0x1.b200000000000p-40"),
-    (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "0x1.a000000000000p-47"),
-    (0.5, "new", (101, 131), 1, "0x1.ec607b7553942p-1", "0x1.0000000000000p-51"),
-    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebcp-1", "-0x1.11d67df701e7cp-51"),
-])
+@pytest.mark.parametrize("theta, family, grid, refine_levels, i_star, worst_margin",
+                         _NONDEFAULT_GOLDENS,
+                         ids=[_golden_id(*golden[:4]) for golden in _NONDEFAULT_GOLDENS])
 def test_nondefault_certificates_are_bit_stable(theta, family, grid, refine_levels,
                                                 i_star, worst_margin):
     # the tag names these values for the CLI cache, as above
-    assert pipeline.SOLVER_TAG == "pencil2"
+    assert pipeline.SOLVER_TAG == "pencil3"
     cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
 
 
 @pytest.mark.parametrize("theta, family", [(0.05, "new"), (0.6, "tilted")])
 def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
-    # the screen works on separable planes; only the exact solves, the
-    # refinement patches and the final scan stack Bell operators
+    # the screen works on lower-triangle planes; only the exact solves, the
+    # refinement patches and the final scan build 4x4 matrices
     built = []
-    stacks = certify._MarginEvaluator.stacks
+    operators = certify._MarginEvaluator.operators
 
-    def counting_stacks(self, a, b):
-        out = stacks(self, a, b)
-        built.append(out[1].size // 16)
+    def counting_operators(self, c, a, b):
+        out = operators(self, c, a, b)
+        built.append(out[0].size // 16)
         return out
 
-    monkeypatch.setattr(certify._MarginEvaluator, "stacks", counting_stacks)
+    monkeypatch.setattr(certify._MarginEvaluator, "operators", counting_operators)
     find_cutoff(theta, family)
     assert 0 < sum(built) <= 200
 
@@ -595,12 +620,12 @@ def test_branch1_inequality_is_branch0_conjugated(theta, family, cutoffs, branch
     twirl0 = certify._MarginEvaluator(theta, family)._twirl
     twirl1 = np.array([[g @ p1 @ g for g in row] for row in certify._LIFTS])
     assert np.array_equal(_U @ twirl0 @ _U.T, twirl1)
-    # (b) each Pauli product, up to the sign its Alice factor takes under
-    # a -> pi/2 - a, exactly: p is even there and q odd
-    terms, _ = bell.bell_terms(bell.BellKind(family, theta), np.array([0.3]))
-    sign = {0: 1.0, 1: -1.0, 2: 1.0}
-    for i, _, k in terms:
-        assert np.array_equal(_U @ k @ _U.T, sign[i] * (_RR @ k @ _RR.T))
+    # (b) every entry of the Bell table, up to the sign its Alice factor
+    # takes under a -> pi/2 - a, exactly: p is even there and q odd
+    table = bell.BellTerms(bell.BellKind(family, theta)).table
+    for i, sign in enumerate((1.0, -1.0, 1.0)):
+        for k in table[i]:
+            assert np.array_equal(_U @ k @ _U.T, sign * (_RR @ k @ _RR.T))
     # (c) that sign
     rng = np.random.default_rng(31)
     a = rng.uniform(0.0, np.pi / 2, size=50)
@@ -633,12 +658,12 @@ def test_operator_mirrors_in_alice_angle(theta, family, cutoffs):
     for j in range(3):
         assert np.array_equal(_ZZ @ ev._twirl[0, j] @ _ZZ, ev._twirl[0, j])
         assert np.array_equal(_ZZ @ ev._twirl[1, j] @ _ZZ, ev._twirl[2, j])
-    # (b) each Pauli product takes the sign its Alice factor takes under
-    # a -> pi/2 - a, exactly: p is even there and q odd
-    terms, _ = bell.bell_terms(bell.BellKind(family, theta), np.array([0.3]))
-    sign = {0: 1.0, 1: -1.0, 2: 1.0}
-    for i, _, k in terms:
-        assert np.array_equal(_ZZ @ k @ _ZZ, sign[i] * k)
+    # (b) every entry of the Bell table takes the sign its Alice factor
+    # takes under a -> pi/2 - a, exactly: p is even there and q odd
+    table = bell.BellTerms(bell.BellKind(family, theta)).table
+    for i, sign in enumerate((1.0, -1.0, 1.0)):
+        for k in table[i]:
+            assert np.array_equal(_ZZ @ k @ _ZZ, sign * k)
     # (c) those parities, and Alice's weight is even, on both sides of pi/4
     rng = np.random.default_rng(43)
     a = np.concatenate([rng.uniform(0.0, np.pi / 4, 25), rng.uniform(np.pi / 4, np.pi / 2, 25)])
@@ -663,9 +688,9 @@ def test_mirrored_screen_leaves_what_a_full_screen_leaves(theta, family):
     ev = certify._MarginEvaluator(theta, family)
     s0, mu0 = _corner_guess(ev)
     a = b = np.linspace(0.0, np.pi / 2, 201)
-    x, y = ev.separable(a, b)
+    x, y = ev.factors(a, b)
     c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
-    fails = ~certify._pivots_positive(certify._planes(x, c, y))
+    fails = ~certify._pivots_positive(certify._planes(x.T, c, y))
     assert np.array_equal(fails, fails[::-1])
     half = fails[:101]
     left_a, left_b = certify._screen(ev, [(s0, mu0, a[:101], b)])[0]
@@ -764,18 +789,18 @@ def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
 
 @pytest.mark.parametrize("n", [201, 801])
 def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
-    # the screen works on separable planes; exact margins stack Bell
-    # operators only on the points it leaves
+    # the screen works on lower-triangle planes; exact margins build 4x4
+    # matrices only on the points it leaves
     built = []
-    stacks = certify._MarginEvaluator.stacks
+    operators = certify._MarginEvaluator.operators
 
-    def counting_stacks(self, a, b):
-        out = stacks(self, a, b)
-        built.append(out[1].size // 16)
+    def counting_operators(self, c, a, b):
+        out = operators(self, c, a, b)
+        built.append(out[0].size // 16)
         return out
 
     cert = find_cutoff(0.6, "new")
-    monkeypatch.setattr(certify._MarginEvaluator, "stacks", counting_stacks)
+    monkeypatch.setattr(certify._MarginEvaluator, "operators", counting_operators)
     verify_cutoff(cert, grid=(n, n))
     assert 0 < sum(built) <= 50
 
