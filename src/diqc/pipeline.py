@@ -25,7 +25,7 @@ DEFAULT_REFINE_LEVELS = 2
 VERIFY_TOL = 1e-9
 # names the solver in the CLI cache key; change it whenever a solver change
 # changes the certificates, so cached ones from the old solver are not served
-SOLVER_TAG = "pencil3"
+SOLVER_TAG = "vertex1"
 
 LINEAR_WARP = "linear"
 
@@ -62,6 +62,12 @@ def _check_cutoff(i_star: float) -> float:
     if not 0.0 < i_star < 1.0:
         raise DomainError(f"i_star={i_star!r} outside (0, 1)")
     return i_star
+
+
+def _check_family(family: str) -> str:
+    if family not in ("new", "tilted"):
+        raise DomainError(f"cutoffs exist only for 'new' and 'tilted', got {family!r}")
+    return family
 
 
 def check_theta(theta: float) -> float:
@@ -130,6 +136,51 @@ def tilted_local_bound(theta: float) -> float:
     return (2.0 + alpha) / math.sqrt(8.0 + 2.0 * alpha * alpha)
 
 
+def vertex_cutoff(theta: float, family: str) -> tuple[float, tuple[float, float]]:
+    """The cutoff I* of the dephasing channels, and the corner (a, b) where it binds.
+
+    At a = 0 Alice's channel dephases fully onto H, and at b = 0 or pi/2
+    Bob's onto his axis, so there T and B are diagonal in a product basis:
+    B holds the Bell values beta_k of the 8 deterministic strategies and T
+    their overlaps t_k with the target. The local-bound strategy gives the
+    largest slope s* = (1 - t*)/(1 - beta_L) (Kaniewski, PRL 117, 070402
+    (2016)), with t* = cos^2 theta cos^2(pi/8) at (0, pi/2) for 'new' and
+    cos^2(theta - pi/8)/2 at (0, 0) for 'tilted'. Where ``tilted_alpha``
+    is 0 (theta = pi/4) both tests are CHSH/(2 sqrt 2), and 'tilted' takes
+    'new''s expression and corner. 1 - beta_L comes from closed forms free
+    of cancellation, and 1 - I* = sin^2 theta / s* is never taken from 1.
+    Returns the smallest float I* < 1 whose ``slope_and_intercept`` slope
+    covers s*. Raises DomainError for theta outside ``THETA_RANGE`` or
+    another family.
+    """
+    theta, family = check_theta(theta), _check_family(family)
+    sin2 = math.sin(theta) ** 2
+    if family == "new" or tilted_alpha(theta) == 0.0:
+        # 4 (1 - beta_L) = 3 (1 - r) + 2 sin^2 theta (1 + r), with
+        # u = sin^2(2 theta) and r = sqrt((3 + u)/(3 - u)), regrouped
+        u = math.sin(2.0 * theta) ** 2
+        r = math.sqrt((3.0 + u) / (3.0 - u))
+        n = 12.0 * sin2 - 2.0 * u * u / (3.0 + math.sqrt(9.0 - u * u))
+        gap = sin2 * n / (2.0 * (3.0 - u) * (1.0 + r))
+        t_star, corner = math.cos(theta) ** 2 * math.cos(math.pi / 8) ** 2, (0.0, math.pi / 2)
+    else:
+        # 1 - beta_L = (2 - alpha)^2 / (w (w + 2 + alpha)), w = sqrt(8 + 2 alpha^2),
+        # with alpha = 2/q and 2 - alpha = 4 tan^2(2 theta) / (q (q + 1))
+        tan2 = math.tan(2.0 * theta) ** 2
+        q = math.sqrt(1.0 + 2.0 * tan2)
+        w = math.sqrt(8.0 + 8.0 / (q * q))
+        gap = (4.0 * tan2 / (q * (q + 1.0))) ** 2 / (w * (w + 2.0 + 2.0 / q))
+        t_star, corner = math.cos(theta - math.pi / 8) ** 2 / 2.0, (0.0, 0.0)
+    s = (1.0 - t_star) / gap
+    i_star = 1.0 - sin2 * gap / (1.0 - t_star)
+    # the float slope is nondecreasing in I*, so step to the smallest I* that covers s
+    while slope_and_intercept(theta, math.nextafter(i_star, 0.0))[0] >= s:
+        i_star = math.nextafter(i_star, 0.0)
+    while slope_and_intercept(theta, i_star)[0] < s:
+        i_star = math.nextafter(i_star, 1.0)
+    return i_star, corner
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -140,10 +191,9 @@ class LinearBoundCertificate:
 
     Records the full verification metadata: grid resolution, refinement
     depth, the verification tolerance, the worst margin of the final scan,
-    the binding angle pair ``worst_a``, ``worst_b`` (where the computed
-    maximum slope lies, so I* cannot be lowered there, always with
-    a <= pi/4, since the solver works on that half of the square), and
-    Bob's channel reparametrization (from the angle, see ``quantum.AngleWarp``).
+    the binding angle pair ``worst_a``, ``worst_b`` (the corner where
+    ``vertex_cutoff`` binds, so I* cannot be lowered there), and Bob's
+    channel reparametrization (from the angle, see ``quantum.AngleWarp``).
     """
 
     theta: float

@@ -2,8 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from diqc import bell, certify, quantum
+
+# drawn examples are the same on every run, no example database is written,
+# and a slow example on a loaded host is not a failure
+settings.register_profile("diqc", derandomize=True, deadline=None, database=None)
+settings.load_profile("diqc")
 
 # rotation by pi around the x axis, exp(i pi/2 sigma_x) = i sigma_x; the
 # relabelled branch-1 test is defined through it

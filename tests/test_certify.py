@@ -2,6 +2,7 @@ import dataclasses
 import sys
 
 import numpy as np
+import pencil_oracle
 import pytest
 from conftest import ROT_X_PI
 
@@ -21,6 +22,7 @@ from diqc.certify import (
     slope_and_intercept,
     verify_cutoff,
 )
+from diqc.pipeline import vertex_cutoff
 from diqc.quantum import DomainError
 
 SQ05 = 1 / np.sqrt(2)
@@ -220,10 +222,19 @@ def test_cutoff_cannot_be_lowered(theta, family):
 
 
 def test_kernel_leak_names_its_input(monkeypatch):
-    # counting genuine eigenvalues of 1 - B as kernel must be caught, not
-    # silently dropped from the slope
-    monkeypatch.setattr(certify, "_KERNEL_RTOL", 0.5)
-    with pytest.raises(ChannelFamilyError, match=r"\(a=.*b=.*tilted at theta=0\.6"):
+    # a twirl that loses weight 1e-6 leaks 1 - T into the kernel of 1 - B at
+    # the ideal point, where the margin is then -1e-6 at every slope: the
+    # scan must catch it and name where, whatever the closed form says
+    init = certify._MarginEvaluator.__init__
+
+    def leaking_init(self, theta, family):
+        init(self, theta, family)
+        self._table = self._table * np.array([1.0 - 1e-6, 1.0, 1.0])[:, None, None, None]
+
+    monkeypatch.setattr(certify._MarginEvaluator, "__init__", leaking_init)
+    with pytest.raises(ChannelFamilyError,
+                       match=r"fails verification: margin -.* at \(a=.*, b=.*\) "
+                             r"for tilted at theta=0\.6"):
         find_cutoff(0.6, "tilted", grid=(101, 101))
 
 
@@ -238,7 +249,7 @@ def _axes(grid, half=True):
 
 def _unscreened_search(f, grid, refine_levels, b_ideal, half=True):
     # largest value of f at every point of the grid and of every refinement
-    # patch, and the patches, patch by patch: each level refines around the
+    # patch, patch by patch: each level refines around the
     # running best point and around the ideal point, one coarse cell wide,
     # shrinking eightfold per level, and only a larger value moves the best;
     # with half, on a <= pi/4 as find_cutoff, else on all of [0, pi/2]^2
@@ -250,7 +261,7 @@ def _unscreened_search(f, grid, refine_levels, b_ideal, half=True):
     best, best_at = peak(*_axes(grid, half))
     h = [(np.pi / 2) / (n - 1) for n in grid]
     ends = (np.pi / 4 if half else np.pi / 2, np.pi / 2)
-    centers, patches = [best_at, (np.pi / 4, b_ideal)], []
+    centers = [best_at, (np.pi / 4, b_ideal)]
     for _ in range(refine_levels):
         next_centers = []
         for center in centers:
@@ -258,36 +269,26 @@ def _unscreened_search(f, grid, refine_levels, b_ideal, half=True):
             value, at = peak(*patch)
             if value > best:
                 best, best_at = value, at
-            patches.append(patch)
             next_centers.append(at)
         centers = next_centers
         h = [w / (certify._REFINE_POINTS / 2.0) for w in h]
-    return best, best_at, patches
+    return best
 
 
-def _full_grid_cutoff(theta, family, grid=certify.DEFAULT_GRID,
-                      refine_levels=certify.DEFAULT_REFINE_LEVELS, half=True):
-    # reference solve with no screen: exact slopes at every grid point, the
-    # same refinement patches, and a margin scan over the grid and patches,
-    # on a <= pi/4 with half, else on all of [0, pi/2]^2
+def _pencil_cutoff(theta, family, grid=certify.DEFAULT_GRID,
+                   refine_levels=certify.DEFAULT_REFINE_LEVELS, half=True):
+    # the pencil oracle's I*: the largest slope at every point of the grid
+    # and of its refinement patches, on a <= pi/4 with half, else on all of
+    # [0, pi/2]^2, rounded up to the first float whose slope covers it
     ev = certify._MarginEvaluator(theta, family)
-    s_max, (bind_a, bind_b), patches = _unscreened_search(
-        ev.slopes, grid, refine_levels, ev.b_ideal, half)
-    i_star = certify._cutoff(ev, s_max, (bind_a, bind_b))
-    worst = min(float(ev.margins(i_star, pa[:, None], pb[None, :]).min())
-                for pa, pb in [_axes(grid, half), *patches])
-    s, mu = slope_and_intercept(theta, i_star)
-    return certify.LinearBoundCertificate(
-        theta=theta, family=family, i_star=i_star, slope=s, intercept=mu,
-        grid_a=grid[0], grid_b=grid[1], refine_levels=refine_levels, tol=certify.VERIFY_TOL,
-        worst_margin=worst, worst_a=bind_a, worst_b=bind_b, delta_variant=ev.warp.variant)
+    s_max = _unscreened_search(lambda a, b: pencil_oracle.slopes(ev, a, b), grid,
+                               refine_levels, ev.b_ideal, half)
+    return pencil_oracle.cutoff(ev, s_max)
 
 
-def _corner_guess(ev):
-    # slope and intercept of the cutoff that find_cutoff's corner guess gives
-    corners = (np.array([0.0]), np.array([0.0, np.pi / 2]))
-    guess = certify._peaks(ev.slopes, [corners])[0]
-    return slope_and_intercept(ev.theta, certify._cutoff(ev, *guess))
+def _vertex_line(ev):
+    # slope and intercept of the cutoff that find_cutoff screens at
+    return slope_and_intercept(ev.theta, vertex_cutoff(ev.theta, ev.kind.family)[0])
 
 
 def _positive_definite(m):
@@ -303,106 +304,88 @@ def _lower_stack(x, c, y):
     return np.moveaxis(m, (0, 1), (2, 3))
 
 
+def _check_against_full_grid(cert):
+    # the screened scan's worst margin is an exact scan's at every grid and
+    # patch point, bit for bit, and I* lies within 3 ulps of the pencil
+    # oracle's at every one of those points
+    grid = (cert.grid_a, cert.grid_b)
+    assert cert.worst_margin.hex() == _unscreened_scan(cert, grid).hex()
+    expected = _pencil_cutoff(cert.theta, cert.family, grid, cert.refine_levels)
+    assert abs(cert.i_star - expected) <= 3 * np.spacing(expected)
+
+
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screened_cutoff_equals_full_grid_solve(theta, family):
-    assert find_cutoff(theta, family) == _full_grid_cutoff(theta, family)
+    _check_against_full_grid(find_cutoff(theta, family))
 
 
 def test_screened_cutoff_equals_full_grid_solve_unrefined():
-    assert (find_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0)
-            == _full_grid_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0))
+    _check_against_full_grid(find_cutoff(0.4, "tilted", grid=(101, 101), refine_levels=0))
 
 
 def test_screened_cutoff_equals_full_grid_solve_deeply_refined():
-    assert (find_cutoff(0.5, "new", grid=(101, 101), refine_levels=3)
-            == _full_grid_cutoff(0.5, "new", grid=(101, 101), refine_levels=3))
+    _check_against_full_grid(find_cutoff(0.5, "new", grid=(101, 101), refine_levels=3))
 
 
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_half_square_cutoff_holds_on_the_full_square(theta, family, cutoffs):
-    # the rows a > pi/4 mirror the solved ones: an unscreened solve over all
-    # of [0, pi/2]^2 moves I* by at most 2 ulps, and an unscreened margin
+    # the rows a > pi/4 mirror the solved ones: the pencil oracle over all
+    # of [0, pi/2]^2 lies within 2 ulps of I*, and an unscreened margin
     # scan there at the certificate's I* clears -VERIFY_TOL on both halves
     cert = cutoffs.get(theta, family)
     ev = certify._MarginEvaluator(theta, family)
     grid, levels = certify.DEFAULT_GRID, certify.DEFAULT_REFINE_LEVELS
-    s_max, at, _ = _unscreened_search(ev.slopes, grid, levels, ev.b_ideal, half=False)
-    assert abs(certify._cutoff(ev, s_max, at) - cert.i_star) <= 2 * np.spacing(cert.i_star)
+    expected = _pencil_cutoff(theta, family, half=False)
+    assert abs(expected - cert.i_star) <= 2 * np.spacing(cert.i_star)
     scanned = []
 
     def neg_margins(a, b):
         scanned.append(ev.margins(cert.i_star, a, b))
         return -scanned[-1]
 
-    neg, _, _ = _unscreened_search(neg_margins, grid, levels, ev.b_ideal, half=False)
+    neg = _unscreened_search(neg_margins, grid, levels, ev.b_ideal, half=False)
     assert -neg >= -certify.VERIFY_TOL
     rows = (grid[0] + 1) // 2
     assert scanned[0][:rows].min() >= -certify.VERIFY_TOL
     assert scanned[0][rows:].min() >= -certify.VERIFY_TOL
 
 
-@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
-def test_low_slope_guess_recovers_grid_maximum(theta, family):
-    ev = certify._MarginEvaluator(theta, family)
-    a, b = _axes(certify.DEFAULT_GRID)
-    slopes = ev.slopes(a[:, None], b[None, :])
-    i, j = np.unravel_index(np.argmax(slopes), slopes.shape)
-    peak = (float(slopes[i, j]), (float(a[i]), float(b[j])))
-    expected = _full_grid_cutoff(theta, family)
-    for factor in (0.5, 0.9):
-        guess = (factor * peak[0], peak[1])
-        assert certify._screened_peaks(ev, [(a, b)], [guess])[0][:2] == peak
-        assert certify._screened_cutoff(ev, (201, 201), 2, guess) == expected
+def _exact_points(monkeypatch):
+    # points given exact margins per call of certify._worst: the grid's
+    # first, then one call per refinement level
+    counts = []
+    worst = certify._worst
+
+    def counting_worst(ev, i_star, meshgrids):
+        counts.append(sum(len(a) * len(b) for a, b in meshgrids))
+        return worst(ev, i_star, meshgrids)
+
+    monkeypatch.setattr(certify, "_worst", counting_worst)
+    return counts
 
 
 @pytest.mark.parametrize("theta, family", [(0.3, "new"), (0.6, "tilted")])
 def test_screen_leaves_few_grid_points_to_solve(theta, family, monkeypatch):
-    # outside the refinement patches the pencil is solved only at the two
-    # corners a = 0 and at the points of the half grid the screen cannot
-    # clear: 3 to 8 points in all over the 50 default sweep-fig4 angles
-    solved = []
-    in_patches = [False]
-    slopes, refine = certify._MarginEvaluator.slopes, certify._refine
-
-    def counting_slopes(self, a, b):
-        out = slopes(self, a, b)
-        if not in_patches[0]:
-            solved.append(out.size)
-        return out
-
-    def uncounted_refine(*args, **kwargs):
-        in_patches[0] = True
-        try:
-            return refine(*args, **kwargs)
-        finally:
-            in_patches[0] = False
-
-    monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
-    monkeypatch.setattr(certify, "_refine", uncounted_refine)
+    # outside the refinement patches exact margins are taken only at the
+    # points of the half grid the screen cannot clear: 1 point at each of
+    # the 50 default sweep-fig4 angles but pi/4, where the tie of the two
+    # corners leaves 6
+    counts = _exact_points(monkeypatch)
     find_cutoff(theta, family)
-    assert 2 < sum(solved) <= 8
-
-
-def test_screen_clearing_every_point_names_its_input():
-    # only a guess above the maximum can clear every point of a meshgrid
-    ev = certify._MarginEvaluator(0.6, "tilted")
-    a, b = np.linspace(0.0, 0.2, 9), np.linspace(1.3, np.pi / 2, 9)
-    s, at = certify._peaks(ev.slopes, [(a, b)])[0]
-    assert certify._screened_peaks(ev, [(a, b)], [(0.5 * s, at)])[0][:2] == (s, at)
-    with pytest.raises(ChannelFamilyError, match=r"9x9 points.*tilted at theta=0\.6"):
-        certify._screened_peaks(ev, [(a, b)], [(1.5 * s, at)])
+    assert len(counts) == 1 + certify.DEFAULT_REFINE_LEVELS
+    assert 0 < counts[0] <= 6
 
 
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_screen_planes_match_operator_stacks(theta, family):
     # the lower triangle the screen builds with one matrix product against
-    # the exact path's matrices of T - s0 B - shift, at the corner guess's
-    # s0; find_cutoff and verify_cutoff screen this one operator
+    # the exact path's matrices of T - s B - shift, at the closed form's
+    # slope s; find_cutoff and verify_cutoff screen this one operator
     ev = certify._MarginEvaluator(theta, family)
-    s0, mu0 = _corner_guess(ev)
+    s0, mu0 = _vertex_line(ev)
     c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
     a = b = np.linspace(0.0, np.pi / 2, 201)
     x, y = ev.factors(a, b)
@@ -417,13 +400,13 @@ def test_screen_planes_match_operator_stacks(theta, family):
 def test_operators_do_not_depend_on_the_batch(theta, family):
     # bit for bit, signs of zero included: each matrix equals the one built
     # for its point alone, in a point list and in a meshgrid, which the
-    # batching of _peaks and the equality with _full_grid_cutoff rest on
+    # batching of _worst and the equality with an unscreened scan rest on
     ev = certify._MarginEvaluator(theta, family)
     rng = np.random.default_rng(47)
     a = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
     b = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
-    s, mu = _corner_guess(ev)
-    for c in (ev.coefficients(s, mu), ev._pencil):
+    s, mu = _vertex_line(ev)
+    for c in (ev.coefficients(s, mu), pencil_oracle.pencil_table(ev)):
         meshgrid = ev.operators(c, a[:, None], b[None, :])
         points = ev.operators(c, a[:, None], b[:, None])
         for k in range(len(a)):
@@ -441,14 +424,14 @@ def test_operators_match_pointwise_oracle(theta, family):
     # the table's target twirl and Bell operator against the public
     # channels applied to the target and the single-point constructors
     ev = certify._MarginEvaluator(theta, family)
-    s, mu = _corner_guess(ev)
+    s, mu = _vertex_line(ev)
     target = quantum.projector(quantum.partial_entangled_state(theta))
     build = bell.new_bell_operator if family == "new" else bell.tilted_operator
     rng = np.random.default_rng(53)
     a = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 20)])
     b = np.concatenate([[0.0, np.pi / 4, ev.b_ideal, np.pi / 2], rng.uniform(0.0, np.pi / 2, 20)])
     margins = ev.operators(ev.coefficients(s, mu), a[:, None], b[:, None])[0, :, 0]
-    pencil = ev.operators(ev._pencil, a[:, None], b[:, None])[:, :, 0]
+    pencil = ev.operators(pencil_oracle.pencil_table(ev), a[:, None], b[:, None])[:, :, 0]
     for k, (x, y) in enumerate(zip(a, b)):
         twirled = quantum.apply_one_sided(quantum.dephasing_alice(x), target, "alice")
         twirled = quantum.apply_one_sided(
@@ -475,15 +458,15 @@ def _golden_id(theta, family, grid, refine_levels):
 
 _DEFAULT_GOLDENS = [
     (0.05, "new", "0x1.fffffc7a681f1p-1", "0x1.2600000000000p-38"),
-    (0.3, "tilted", "0x1.fed5e75e8ac59p-1", "-0x1.b4978b0016c94p-49"),
-    (0.6, "new", "0x1.d3a7071aa623ap-1", "-0x1.0000000000000p-52"),
-    (np.pi / 4, "tilted", "0x1.7d31d5d690d17p-1", "0x1.8000000000000p-53"),
+    (0.3, "tilted", "0x1.fed5e75e8ac5ap-1", "0x1.0000000000000p-49"),
+    (0.6, "new", "0x1.d3a7071aa623bp-1", "0x1.0000000000000p-51"),
+    (np.pi / 4, "tilted", "0x1.7d31d5d690d16p-1", "-0x1.8000000000000p-55"),
 ]
 _NONDEFAULT_GOLDENS = [
     (0.08, "tilted", (151, 151), 3, "0x1.ffffe0767add0p-1", "0x1.3400000000000p-40"),
     (0.25, "new", (151, 151), 3, "0x1.ff663d688184bp-1", "-0x1.0000000000000p-49"),
     (0.5, "new", (101, 131), 1, "0x1.ec607b7553942p-1", "0x1.0000000000000p-52"),
-    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebbp-1", "-0x1.a56b394b80f3ep-50"),
+    (0.7, "tilted", (201, 201), 0, "0x1.ad0dee1a86ebep-1", "0x1.e3d31091fc307p-52"),
 ]
 
 
@@ -493,9 +476,10 @@ _NONDEFAULT_GOLDENS = [
 def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin):
     # the CLI cache serves a certificate under the solver's tag, so new
     # golden values without a new tag would let stale cached ones through
-    assert pipeline.SOLVER_TAG == "pencil3"
+    assert pipeline.SOLVER_TAG == "vertex1"
     cert = find_cutoff(theta, family)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
+    assert verify_cutoff(cert).hex() == worst_margin
 
 
 @pytest.mark.parametrize("theta, family, grid, refine_levels, i_star, worst_margin",
@@ -504,15 +488,16 @@ def test_default_certificates_are_bit_stable(theta, family, i_star, worst_margin
 def test_nondefault_certificates_are_bit_stable(theta, family, grid, refine_levels,
                                                 i_star, worst_margin):
     # the tag names these values for the CLI cache, as above
-    assert pipeline.SOLVER_TAG == "pencil3"
+    assert pipeline.SOLVER_TAG == "vertex1"
     cert = find_cutoff(theta, family, grid=grid, refine_levels=refine_levels)
     assert (cert.i_star.hex(), cert.worst_margin.hex()) == (i_star, worst_margin)
+    assert verify_cutoff(cert).hex() == worst_margin
 
 
 @pytest.mark.parametrize("theta, family", [(0.05, "new"), (0.6, "tilted")])
 def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
-    # the screen works on lower-triangle planes; only the exact solves, the
-    # refinement patches and the final scan build 4x4 matrices
+    # the screen works on lower-triangle planes; only the exact margins at
+    # the few points it leaves build 4x4 matrices
     built = []
     operators = certify._MarginEvaluator.operators
 
@@ -523,48 +508,34 @@ def test_screen_builds_no_operator_stacks(theta, family, monkeypatch):
 
     monkeypatch.setattr(certify._MarginEvaluator, "operators", counting_operators)
     find_cutoff(theta, family)
-    assert 0 < sum(built) <= 200
+    assert 0 < sum(built) <= 16
 
 
 @pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
 def test_refinement_solves_few_points(theta, family, monkeypatch):
-    # each patch is screened from a 3x3 sample of its own points, so the
-    # pencil is solved at the sample and at the few points the screen cannot
-    # clear; clipping at the edges of [0, pi/2] leaves no repeated angle
-    solved, axes = [], []
-    in_patches = [False]
-    slopes, refine = certify._MarginEvaluator.slopes, certify._refine
+    # each level screens both its patches in one pass, so exact margins are
+    # taken at the few points the screens cannot clear; clipping at the
+    # edges of [0, pi/2] leaves no repeated angle
+    axes = []
+    screen = certify._screen
 
-    def counting_slopes(self, a, b):
-        out = slopes(self, a, b)
-        if in_patches[0]:
-            solved.append(out.size)
-        return out
+    def recording_screen(ev, jobs):
+        axes.append([x for *_, a, b in jobs for x in (a, b)])
+        return screen(ev, jobs)
 
-    def flagged_refine(peaks, *args):
-        def recording_peaks(meshgrids):
-            axes.extend(x for meshgrid in meshgrids for x in meshgrid)
-            return peaks(meshgrids)
-
-        in_patches[0] = True
-        try:
-            return refine(recording_peaks, *args)
-        finally:
-            in_patches[0] = False
-
-    monkeypatch.setattr(certify._MarginEvaluator, "slopes", counting_slopes)
-    monkeypatch.setattr(certify, "_refine", flagged_refine)
+    monkeypatch.setattr(certify, "_screen", recording_screen)
+    counts = _exact_points(monkeypatch)
     find_cutoff(theta, family)
-    assert len(axes) == 2 * 2 * certify.DEFAULT_REFINE_LEVELS
-    assert all(np.all(np.diff(x) > 0) for x in axes)
-    assert sum(solved) <= 80
+    patches = [x for level in axes[1:] for x in level]
+    assert len(patches) == 2 * 2 * certify.DEFAULT_REFINE_LEVELS
+    assert all(np.all(np.diff(x) > 0) for x in patches)
+    assert sum(counts[1:]) <= 8
 
 
 @pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted")])
 def test_solve_batches_its_eigensolves(theta, family, monkeypatch):
-    # one batched solve for the corners, one for what the grid screen
-    # leaves, two per refinement level (both patches' samples, then what
-    # both screens leave) and one final margin scan
+    # one exact margin call for what the grid screen leaves and one per
+    # refinement level; the closed form needs no eigensolve at all
     calls = {"eigvalsh": 0, "eigh": 0}
 
     def counting(name):
@@ -579,8 +550,8 @@ def test_solve_batches_its_eigensolves(theta, family, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
     find_cutoff(theta, family)
-    assert calls["eigvalsh"] <= 7
-    assert calls["eigh"] <= 6
+    assert calls["eigvalsh"] <= 1 + certify.DEFAULT_REFINE_LEVELS
+    assert calls["eigh"] == 0
 
 
 def test_positive_definite_mask_matches_eigenvalues():
@@ -682,11 +653,11 @@ def test_operator_mirrors_in_alice_angle(theta, family, cutoffs):
 @pytest.mark.parametrize("family", ["new", "tilted"])
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, np.pi / 4])
 def test_mirrored_screen_leaves_what_a_full_screen_leaves(theta, family):
-    # (e) at the corner guess's slope, the LDL^T verdicts on every row of
+    # (e) at the closed form's slope, the LDL^T verdicts on every row of
     # the default grid mirror row for row, and the rows a <= pi/4 hold what
     # the screen leaves on the half grid
     ev = certify._MarginEvaluator(theta, family)
-    s0, mu0 = _corner_guess(ev)
+    s0, mu0 = _vertex_line(ev)
     a = b = np.linspace(0.0, np.pi / 2, 201)
     x, y = ev.factors(a, b)
     c = ev.coefficients(s0, mu0 + certify._SCREEN_RTOL * (1.0 + s0))
@@ -748,9 +719,8 @@ def _unscreened_scan(cert, grid):
     # reference verification with no screen: exact margins at every point
     # of the grid and of every refinement patch
     ev = certify._MarginEvaluator(cert.theta, cert.family)
-    neg, _, _ = _unscreened_search(lambda a, b: -ev.margins(cert.i_star, a, b), grid,
-                                   cert.refine_levels, ev.b_ideal)
-    return -neg
+    return -_unscreened_search(lambda a, b: -ev.margins(cert.i_star, a, b), grid,
+                               cert.refine_levels, ev.b_ideal)
 
 
 @pytest.mark.parametrize("theta, family, grid, refine_levels, verify_grid", [
@@ -835,6 +805,25 @@ def test_verify_cutoff_rejects_a_slightly_lowered_cutoff(theta, family, cutoffs)
                        match=rf"cutoff {i_star!r} fails verification: margin -.* at "
                              rf"\(a=.*, b=.*\) for {family} at theta={theta}"):
         verify_cutoff(lowered)
+
+
+@pytest.mark.parametrize("family", ["new", "tilted"])
+def test_default_certificates_take_the_vertex_cutoff(family, cutoffs):
+    # at the 50 default sweep-fig4 angles I* and the binding corner are the
+    # closed form's, verify_cutoff's scan is find_cutoff's bit for bit, an
+    # 801^2 scan passes and a cutoff lowered by 1e-6 (1 - I*) fails
+    for theta in map(float, np.linspace(0.05, np.pi / 4, 25)):
+        cert = cutoffs.get(theta, family)
+        corner = (0.0, np.pi / 2) if family == "new" or theta == np.pi / 4 else (0.0, 0.0)
+        assert vertex_cutoff(theta, family) == (cert.i_star, corner)
+        assert (cert.worst_a, cert.worst_b) == corner
+        assert verify_cutoff(cert).hex() == cert.worst_margin.hex()
+        assert cert.worst_margin >= -certify.VERIFY_TOL
+        assert verify_cutoff(cert, grid=(801, 801)) >= -certify.VERIFY_TOL
+        i_star = cert.i_star - 1e-6 * (1.0 - cert.i_star)
+        s, mu = slope_and_intercept(theta, i_star)
+        with pytest.raises(ChannelFamilyError, match="fails verification"):
+            verify_cutoff(dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu))
 
 
 @pytest.mark.parametrize("grid, refine_levels", [((0, 0), 2), ((1, 1), 2), ((2, 2), 2),

@@ -101,6 +101,16 @@ def test_solving_and_simulating_commands_still_run(tmp_path):
     assert [out for _, out, _ in report["runs"]] == [in_process(argv) for argv in commands]
 
 
+def test_vertex_cutoff_loads_no_numpy():
+    code = ("import sys\n"
+            "from diqc.pipeline import vertex_cutoff\n"
+            "print(vertex_cutoff(0.6, 'new')[0].hex(), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    from diqc.pipeline import vertex_cutoff
+    assert proc.stdout.split() == [vertex_cutoff(0.6, "new")[0].hex(), "False"]
+
+
 @pytest.mark.parametrize("module", sorted(EXPORTS))
 def test_package_names_are_their_home_objects(module):
     home = importlib.import_module(f"diqc.{module}")
