@@ -7,8 +7,9 @@ that interpolates between a projective measurement and the identity:
 * ``matrixcore``: dense complex linear algebra (fidelities, spectra).
 * ``quantum``: states, observables, instruments, extraction channels.
 * ``bell``: the Bell expressions, their operators and local bounds.
-* ``pipeline``: the scalar layer, with angle checks, local bounds, cutoff
-  records and the fidelity pipeline, in the standard library alone.
+* ``pipeline``: the scalar layer, with angle checks, the family record
+  ``BellKind``, cutoff records and the fidelity pipeline, in the standard
+  library alone.
 * ``certify``: self-testing cutoffs.
 * ``experiment``: exact noisy simulation and soundness oracle.
 * ``cli``: the ``diqc`` command.
@@ -21,16 +22,15 @@ import importlib
 
 _EXPORTS = {
     "matrixcore": "EigenResult block_fidelity hermitian_eig kron psd_sqrt uhlmann_fidelity",
-    "pipeline": "BETA_STAR ChannelFamilyError DomainError FidelityCertificate "
-                "LinearBoundCertificate NonQuantumValueError bob_ideal_angle "
-                "certify_instrument combine_branches input_fidelity_bound "
-                "instrument_fidelity_bound local_bound_new output_fidelity_bound "
-                "tilted_local_bound",
+    "pipeline": "BETA_STAR BellKind ChannelFamilyError DomainError FidelityCertificate "
+                "LinearBoundCertificate NonQuantumValueError certify_instrument "
+                "combine_branches input_fidelity_bound instrument_fidelity_bound "
+                "output_fidelity_bound",
     "quantum": "DegenerateInstrumentError DephasingChannel KrausInstrument RegisterState "
                "apply_instrument apply_one_sided dephasing_alice dephasing_bob "
                "ideal_settings instrument_choi partial_entangled_state partial_trace "
                "phi_plus reference_instrument",
-    "bell": "BellKind CorrelatorTable brute_force_local_bound chsh_value "
+    "bell": "CorrelatorTable brute_force_local_bound chsh_value "
             "correlators_from_state new_bell_operator new_bell_value relabel_branch1 "
             "tilted_bell_value tilted_operator",
     "certify": "find_cutoff operator_margin verify_cutoff",

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixcore import as_matrix, kron
-# the scalar layer; its local bounds and tilt parameter are re-exported here
-from .pipeline import (  # noqa: F401
-    DomainError, bob_ideal_angle, check_theta, local_bound_new, tilted_alpha,
-    tilted_local_bound)
+# the family record, re-exported here
+from .pipeline import BellKind
 from .quantum import IDENTITY_2, SIGMA_X, SIGMA_Z, alice_observable, bob_observable
 
 
@@ -56,37 +54,6 @@ class CorrelatorTable:
         object.__setattr__(self, "marginal_b", mb)
 
 
-@dataclass(frozen=True)
-class BellKind:
-    """Which Bell expression to use; 'new' and 'tilted' carry an angle."""
-
-    family: str
-    theta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in ("chsh", "new", "tilted"):
-            raise DomainError(f"unknown Bell family {self.family!r}")
-        if self.family == "chsh":
-            if self.theta is not None:
-                raise DomainError("chsh takes no angle")
-        else:
-            if self.theta is None:
-                raise DomainError(f"{self.family} requires an angle")
-            object.__setattr__(self, "theta", check_theta(self.theta))
-
-    @classmethod
-    def chsh(cls) -> "BellKind":
-        return cls("chsh")
-
-    @classmethod
-    def new(cls, theta: float) -> "BellKind":
-        return cls("new", theta)
-
-    @classmethod
-    def tilted(cls, theta: float) -> "BellKind":
-        return cls("tilted", theta)
-
-
 def correlators_from_state(rho: np.ndarray, a: float, b: float) -> CorrelatorTable:
     """Measure all eight expectation values of a two-qubit state."""
     rho = as_matrix(rho, "rho")
@@ -109,7 +76,8 @@ def chsh_value(t: CorrelatorTable) -> float:
 
 
 def _new_coeffs(theta: float) -> tuple[float, float, float, float]:
-    bt = bob_ideal_angle(theta, "new")
+    kind = BellKind.new(theta)
+    bt, theta = kind.b_ideal, kind.theta
     return np.sin(bt), np.cos(bt), np.sin(2 * theta), np.cos(2 * theta)
 
 
@@ -119,7 +87,6 @@ def new_bell_value(t: CorrelatorTable, theta: float) -> float:
     (1/4) [ <A0(B0 - B1)>/sin(b_t) + sin(2 theta)/cos(b_t) <A1(B0 + B1)>
             + cos(2 theta) (<A0> + <B0 - B1>/(2 sin(b_t))) ]
     """
-    theta = check_theta(theta)
     sb, cb, s2, c2 = _new_coeffs(theta)
     j = t.joint
     return float(0.25 * ((j[0, 0] - j[0, 1]) / sb
@@ -136,8 +103,7 @@ def tilted_bell_value(t: CorrelatorTable, theta: float) -> float:
     conventional form with B0 + B1 corresponds to parametrizing Bob's pair
     around sigma_z and never reaches its quantum maximum here.
     """
-    theta = check_theta(theta)
-    alpha = tilted_alpha(theta)
+    alpha = BellKind.tilted(theta).alpha
     j = t.joint
     raw = (alpha * t.marginal_a[0]
            + (j[0, 0] - j[0, 1])
@@ -146,9 +112,7 @@ def tilted_bell_value(t: CorrelatorTable, theta: float) -> float:
 
 
 def bell_value(kind: BellKind, t: CorrelatorTable) -> float:
-    """Evaluate any Bell expression on a correlator table."""
-    if kind.family == "chsh":
-        return chsh_value(t)
+    """Evaluate the kind's Bell expression on a correlator table."""
     if kind.family == "new":
         return new_bell_value(t, kind.theta)
     return tilted_bell_value(t, kind.theta)
@@ -156,7 +120,6 @@ def bell_value(kind: BellKind, t: CorrelatorTable) -> float:
 
 def new_bell_operator(theta: float, a: float, b: float) -> np.ndarray:
     """4x4 operator of the symmetric expression at angles (a, b)."""
-    theta = check_theta(theta)
     sb, cb, s2, c2 = _new_coeffs(theta)
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
@@ -168,8 +131,7 @@ def new_bell_operator(theta: float, a: float, b: float) -> np.ndarray:
 
 def tilted_operator(theta: float, a: float, b: float) -> np.ndarray:
     """4x4 operator of the normalized tilted-CHSH expression at (a, b)."""
-    theta = check_theta(theta)
-    alpha = tilted_alpha(theta)
+    alpha = BellKind.tilted(theta).alpha
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
     op = (alpha * kron(a0, IDENTITY_2)
@@ -179,12 +141,8 @@ def tilted_operator(theta: float, a: float, b: float) -> np.ndarray:
 
 
 def local_bound(kind: BellKind) -> float:
-    """Closed-form local bound for any expression."""
-    if kind.family == "chsh":
-        return 2.0
-    if kind.family == "new":
-        return local_bound_new(kind.theta)
-    return tilted_local_bound(kind.theta)
+    """Closed-form local bound of the kind's expression, ``BellKind.local_bound``."""
+    return kind.local_bound
 
 
 def _deterministic_table(a0: int, a1: int, b0: int, b1: int) -> CorrelatorTable:
@@ -294,26 +252,14 @@ class BellTerms:
 
     B(a, b) = sum_ij alice_factors(a)[i] bob_factors(b)[j] table[i, j],
     where ``table`` is (3, 3, 4, 4) and each of its entries is a real Pauli
-    product times a constant: A_0 (x) sz under B_0 - B_1 in column 0,
-    A_1 (x) sx under B_0 + B_1 in column 1, A_0 (x) identity in column 2
-    and, for 'new', identity (x) (B_0 - B_1) in row 2. At the CHSH anchor,
-    where ``tilted_alpha`` is 0, both kinds are CHSH / (2 sqrt 2) and share
-    the tilted table, so their cutoffs coincide there; the 'new' constants
-    would differ from it only by rounding (cos 2 theta is 6e-17 at the
-    float nearest pi/4).
+    product times one of the kind's ``bell_constants``: A_0 (x) sz under
+    B_0 - B_1 in column 0, A_1 (x) sx under B_0 + B_1 in column 1,
+    A_0 (x) identity in column 2 and, for 'new', identity (x) (B_0 - B_1) in
+    row 2. At pi/4 the record's tie rule gives both kinds one table.
     """
 
     def __init__(self, kind: BellKind):
-        if kind.family == "new" and tilted_alpha(kind.theta) != 0.0:
-            sb_t, cb_t, s2, c2 = _new_coeffs(kind.theta)
-            diff, plus, marg = 1.0 / (2.0 * sb_t), s2 / (2.0 * cb_t), c2 / 4.0
-            alone = c2 / (4.0 * sb_t)
-        elif kind.family != "chsh":
-            alpha = tilted_alpha(kind.theta)
-            norm = np.sqrt(8.0 + 2.0 * alpha * alpha)
-            diff, plus, marg, alone = 2.0 / norm, 2.0 / norm, alpha / norm, 0.0
-        else:
-            raise DomainError("chsh has no single-parameter operator form here")
+        diff, plus, marg, alone = kind.bell_constants
         zero = np.zeros((4, 4))
         self.table = np.array([[diff * _ZZ, plus * _XX, marg * _ZI],
                                [diff * _XZ, plus * _ZX, marg * _XI],

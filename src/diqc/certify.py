@@ -84,13 +84,12 @@ import operator
 import numpy as np
 
 from . import bell, quantum
-from .bell import BellKind
 # the scalar layer, re-exported here
 from .pipeline import (  # noqa: F401
     BETA_STAR, CHSH_QUANTUM_BOUND, DEFAULT_GRID, DEFAULT_REFINE_LEVELS, SOLVER_TAG,
-    TRIVIAL_INPUT_FIDELITY, VERIFY_TOL, ChannelFamilyError, DomainError,
+    TRIVIAL_INPUT_FIDELITY, VERIFY_TOL, BellKind, ChannelFamilyError, DomainError,
     FidelityCertificate, LinearBoundCertificate, NonQuantumValueError, _check_cutoff,
-    _check_family, _check_range, certify_instrument, combine_branches, input_fidelity_bound,
+    _check_range, certify_instrument, combine_branches, input_fidelity_bound,
     instrument_fidelity_bound, output_fidelity_bound, raw_pipeline_bound, slope_and_intercept,
     vertex_cutoff)
 
@@ -120,25 +119,20 @@ _LIFTS = np.array([[np.kron(g, o) for o in (np.eye(2), quantum.SIGMA_X.real,
 # operator-inequality verification
 
 
-def _kind(theta: float, family: str) -> BellKind:
-    return BellKind(_check_family(family), theta)
-
-
 class _MarginEvaluator:
     """Margins of the operator inequality, vectorized.
 
-    Precomputes everything that depends on (theta, family) alone: the
-    target projector, its conjugations by the dephasing axes and the one
-    table every operator is built from. Every operator involved is real, so
-    the matrices are float64.
+    Precomputes everything that depends on (theta, family) alone, from the
+    family record ``kind``: Bob's warp, the target projector, its
+    conjugations by the dephasing axes and the one table every operator is
+    built from. Every operator involved is real, so the matrices are float64.
     """
 
     def __init__(self, theta: float, family: str):
-        self.theta = float(theta)
-        self.kind = _kind(theta, family)
-        self.warp = quantum.bob_warp(theta, family)
-        self.b_ideal = self.warp.b_ideal
-        self._proj = quantum.projector(quantum.partial_entangled_state(theta)).real
+        self.kind = BellKind(family, theta)
+        self.theta, self.b_ideal = self.kind.theta, self.kind.b_ideal
+        self.warp = quantum.AngleWarp(self.b_ideal, self.kind.warp_variant)
+        self._proj = quantum.projector(quantum.partial_entangled_state(self.theta)).real
         self._twirl = _LIFTS @ self._proj @ _LIFTS
         # the table [k, i, j] of the twirl (k = 0), the Bell operator (1) and
         # the identity (2) over the factors of ``factors``: the twirl's block
@@ -366,8 +360,6 @@ def _screen(ev: _MarginEvaluator, jobs: list[tuple[float, float, np.ndarray, np.
         fails = ~np.concatenate(parts)
         left.append((a[fails.any(axis=1)], b[fails.any(axis=0)]))
     return left
-
-
 
 
 def _scan(ev: _MarginEvaluator, i_star: float, n_a: int, n_b: int, refine_levels: int) -> float:

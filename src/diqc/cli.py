@@ -161,8 +161,7 @@ def _matches(cert: pipeline.LinearBoundCertificate, theta: float, family: str,
             and cert.refine_levels == refine and cert.tol == pipeline.VERIFY_TOL
             and 0.0 < cert.i_star < 1.0
             and (cert.slope, cert.intercept) == pipeline.slope_and_intercept(theta, cert.i_star)
-            and cert.delta_variant == pipeline.warp_variant(
-                pipeline.bob_ideal_angle(theta, family)))
+            and cert.delta_variant == pipeline.BellKind(family, theta).warp_variant)
 
 
 def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
@@ -244,7 +243,7 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--inequality", choices=("new", "tilted"), default="new")
+    p.add_argument("--inequality", choices=pipeline.FAMILIES, default="new")
     p.add_argument("--grid-n", type=_at_least(101, "grid "), default=201,
                    help="angle grid points per axis (minimum 101)")
     p.add_argument("--refine", type=_at_least(0),
@@ -341,7 +340,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep_fig4(args) -> int:
     thetas = _linspace(args.theta_min, args.theta_max, args.points)
     rows = []
-    for family in ("new", "tilted"):
+    for family in pipeline.FAMILIES:
         for theta in thetas:
             cert = _solve(args, theta, family)
             row = {**cutoff_to_row(cert), "grid_n": cert.grid_a}
@@ -354,8 +353,7 @@ def cmd_sweep_fig4(args) -> int:
 def cmd_sweep_fig5(args) -> int:
     theta = args.theta
     cert = _solve(args, theta, args.inequality)
-    lb = (pipeline.local_bound_new if args.inequality == "new"
-          else pipeline.tilted_local_bound)(theta)
+    lb = pipeline.BellKind(args.inequality, theta).local_bound
     betas = _linspace(2.0, pipeline.CHSH_QUANTUM_BOUND, args.points)
     # extend slightly below the local bound so the trivial region is visible
     i_lo = lb - 0.05 * (1.0 - lb)

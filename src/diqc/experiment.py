@@ -138,8 +138,7 @@ def simulate_run(noise: NoiseModel, theta: float) -> RunStatistics:
     """
     a1 = _shifted(np.pi / 4, noise.alice_angle_offset, "alice_angle_offset")
     b1 = _shifted(np.pi / 4, noise.bob_angle_offset, "bob_angle_offset")
-    b2 = _shifted(quantum.bob_ideal_angle(theta, "new"), noise.bob_angle_offset,
-                  "bob_angle_offset")
+    b2 = _shifted(quantum.ideal_settings(theta)[1], noise.bob_angle_offset, "bob_angle_offset")
     rho = noisy_source(noise.visibility)
     beta = bell.chsh_value(_flip_second_bob_setting(
         bell.correlators_from_state(rho, a1, b1)))
@@ -179,11 +178,12 @@ def oracle_choi_fidelity(noise: NoiseModel, theta: float) -> float:
     """Register fidelity of the noisy run against the reference instrument.
 
     Applies the noisy instrument to the noisy source and compares with the
-    reference Choi state, with identity extraction maps. The isotropic
-    source is one-sided white noise on phi+, so this equals the defining
-    fidelity at one specific choice of maps and therefore lower-bounds the
-    true instrument fidelity: any certified bound above it would expose a
-    soundness bug.
+    reference Choi state, with the extraction maps fixed to the identity.
+    The isotropic source is one-sided white noise on phi+, so this is the
+    defining fidelity at one choice of maps, a lower bound on the true
+    instrument fidelity, which maximizes over them. A certified bound at or
+    below it is therefore sound for this device; one above it shows nothing
+    by itself, since the true fidelity may lie higher still.
     """
     theta_prime = theta if noise.instrument_theta is None else noise.instrument_theta
     instr = noisy_instrument(theta_prime, noise.branch_depolarization)

@@ -1,9 +1,11 @@
-"""Scalar certification layer: angles, local bounds and the fidelity pipeline.
+"""Scalar certification layer: the family record, cutoffs and the fidelity pipeline.
 
-A CHSH value certifies the input state, each branch violation certifies its
+``BellKind`` is the one record of an inequality family at an angle: its
+ideal angle, tilt, local bound, Bell-table constants, warp and vertex. A
+CHSH value certifies the input state, each branch violation certifies its
 output through the cutoff I*, and the two compose by the arccos triangle
-inequality. These steps, the cutoff record and the closed forms they need
-use the standard library alone, so a command served from the cutoff cache
+inequality. These steps, the records and the closed forms they need use
+the standard library alone, so a command served from the cutoff cache
 never loads numpy. ``quantum``, ``bell`` and ``certify`` re-export them.
 """
 
@@ -28,6 +30,10 @@ VERIFY_TOL = 1e-9
 SOLVER_TAG = "vertex1"
 
 LINEAR_WARP = "linear"
+# the inequality families that have a cutoff, each a ``BellKind``
+FAMILIES = ("new", "tilted")
+# ulps that ``vertex_cutoff`` may step from its closed form
+_MAX_ULP_STEPS = 8
 
 
 class DomainError(ValueError):
@@ -64,76 +70,129 @@ def _check_cutoff(i_star: float) -> float:
     return i_star
 
 
-def _check_family(family: str) -> str:
-    if family not in ("new", "tilted"):
-        raise DomainError(f"cutoffs exist only for 'new' and 'tilted', got {family!r}")
-    return family
-
-
 def check_theta(theta: float) -> float:
     """The instrument angle as a float, if it lies in ``THETA_RANGE``."""
     return _check_range(theta, *THETA_RANGE, "theta")
 
 
-def bob_ideal_angle(theta: float, kind: str = "new") -> float:
-    """Half-angle between Bob's observables that makes the test maximal.
+@dataclass(frozen=True)
+class BellKind:
+    """One inequality family at one instrument angle, and every fact about it.
 
-    For the symmetric inequality this is arctan of
-    sqrt((1 + cos^2(2 theta)/2) / sin^2(2 theta)). For the tilted-CHSH test,
-    in the observable convention of ``quantum`` (Bob's bisector along
-    sigma_x), the maximum sits at arctan(1/sin(2 theta)).  Both reduce to
-    pi/4 at theta = pi/4, where either test is a rescaled CHSH.
+    ``family`` is 'new', the symmetric inequality that self-tests
+    cos(theta)|00> + sin(theta)|11>, or 'tilted', tilted CHSH, both with
+    quantum maximum one. The tie rule: within 1e-12 of pi/4 (``is_chsh``)
+    both are CHSH/(2 sqrt 2) and share one tilt, Bell table and vertex,
+    while the local bounds and ideal angles keep each family's own closed
+    form. Raises DomainError for another family or theta outside THETA_RANGE.
     """
-    theta = _check_range(theta, 0.0, math.pi / 4, "theta")
-    two = 2.0 * theta
-    if kind == "new":
-        s2, c2 = math.sin(two), math.cos(two)
-        if s2 < 1e-12:
-            raise DomainError("theta too close to 0 for the symmetric inequality")
-        return math.atan(math.sqrt((1.0 + 0.5 * c2 * c2) / (s2 * s2)))
-    if kind == "tilted":
-        s2 = math.sin(two)
-        if s2 < 1e-12:
-            raise DomainError("theta too close to 0 for the tilted inequality")
+
+    family: str
+    theta: float
+
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise DomainError(f"unknown Bell family {self.family!r}, expected one of {FAMILIES}")
+        if self.theta is None:
+            raise DomainError(f"{self.family} requires an angle")
+        object.__setattr__(self, "theta", check_theta(self.theta))
+
+    @classmethod
+    def new(cls, theta: float) -> "BellKind":
+        return cls("new", theta)
+
+    @classmethod
+    def tilted(cls, theta: float) -> "BellKind":
+        return cls("tilted", theta)
+
+    @property
+    def is_chsh(self) -> bool:
+        """Whether theta is pi/4 to within 1e-12, where both families are CHSH/(2 sqrt 2)."""
+        return abs(self.theta - math.pi / 4) < 1e-12
+
+    @property
+    def b_ideal(self) -> float:
+        """Half-angle between Bob's observables that makes the test maximal.
+
+        arctan sqrt((1 + cos^2(2 theta)/2) / sin^2(2 theta)) for 'new' and,
+        with Bob's bisector along sigma_x, arctan(1/sin(2 theta)) for
+        'tilted'; both are pi/4 at theta = pi/4.
+        """
+        s2 = math.sin(2.0 * self.theta)
+        if self.family == "new":
+            c2 = math.cos(2.0 * self.theta)
+            return math.atan(math.sqrt((1.0 + 0.5 * c2 * c2) / (s2 * s2)))
         return math.atan(1.0 / s2)
-    if kind == "chsh":
-        return math.pi / 4
-    raise DomainError(f"unknown inequality kind {kind!r}")
 
+    @property
+    def alpha(self) -> float:
+        """Tilt 2/sqrt(1 + 2 tan^2(2 theta)) of tilted CHSH; 0 at the tie."""
+        if self.is_chsh:
+            return 0.0
+        tan2 = math.tan(2 * self.theta)
+        return 2.0 / math.sqrt(1.0 + 2.0 * tan2 * tan2)
 
-def warp_variant(b_ideal: float) -> str:
-    """Which reparametrization of Bob's angle the ideal angle b_ideal gives.
+    @property
+    def local_bound(self) -> float:
+        """Closed-form local bound beta_L, each family's own also at the tie.
 
-    The warp is the identity exactly when b_ideal = pi/4 (theta = pi/4, the
-    CHSH case), and linear on either side of b_ideal otherwise.
-    """
-    return "identity" if abs(b_ideal - math.pi / 4) < 1e-12 else LINEAR_WARP
+        For 'new' (1/4) [c2 + (2 + c2) sqrt((7 - c4)/(5 + c4))] with
+        c2 = cos(2 theta), c4 = cos(4 theta), attained by A0 = A1 = B0 = 1,
+        B1 = -1; for 'tilted' (2 + alpha)/sqrt(8 + 2 alpha^2).
+        """
+        if self.family == "new":
+            c2, c4 = math.cos(2 * self.theta), math.cos(4 * self.theta)
+            return 0.25 * (c2 + (2.0 + c2) * math.sqrt((7.0 - c4) / (5.0 + c4)))
+        alpha = self.alpha
+        return (2.0 + alpha) / math.sqrt(8.0 + 2.0 * alpha * alpha)
 
+    @property
+    def bell_constants(self) -> tuple[float, float, float, float]:
+        """The constants (diff, plus, marg, alone) of ``bell.BellTerms``' table.
 
-def tilted_alpha(theta: float) -> float:
-    """Tilt parameter 2/sqrt(1 + 2 tan^2(2 theta)); zero at theta = pi/4."""
-    theta = check_theta(theta)
-    if abs(theta - math.pi / 4) < 1e-12:
-        return 0.0
-    tan2 = math.tan(2 * theta)
-    return 2.0 / math.sqrt(1.0 + 2.0 * tan2 * tan2)
+        The tie takes tilted CHSH's, with alpha = 0, for both families.
+        """
+        if self.family == "new" and not self.is_chsh:
+            b, two = self.b_ideal, 2 * self.theta
+            sb, cb, s2, c2 = math.sin(b), math.cos(b), math.sin(two), math.cos(two)
+            return 1.0 / (2.0 * sb), s2 / (2.0 * cb), c2 / 4.0, c2 / (4.0 * sb)
+        alpha = self.alpha
+        norm = math.sqrt(8.0 + 2.0 * alpha * alpha)
+        return 2.0 / norm, 2.0 / norm, alpha / norm, 0.0
 
+    @property
+    def warp_variant(self) -> str:
+        """Bob's angle warp: the identity where b_ideal is pi/4 to 1e-12, else linear.
 
-def local_bound_new(theta: float) -> float:
-    """Closed-form local bound of the symmetric expression.
+        That window is about 1e-6 wide in theta, wider than the tie's.
+        """
+        return "identity" if abs(self.b_ideal - math.pi / 4) < 1e-12 else LINEAR_WARP
 
-    (1/4) [ c2 + (2 + c2) sqrt((7 - c4)/(5 + c4)) ] with c2 = cos(2 theta),
-    c4 = cos(4 theta); attained by the strategy A0 = A1 = B0 = 1, B1 = -1.
-    """
-    theta = check_theta(theta)
-    c2, c4 = math.cos(2 * theta), math.cos(4 * theta)
-    return 0.25 * (c2 + (2.0 + c2) * math.sqrt((7.0 - c4) / (5.0 + c4)))
+    @property
+    def vertex(self) -> tuple[float, float, tuple[float, float]]:
+        """The data (1 - beta_L, t*, corner) behind ``vertex_cutoff``.
 
-
-def tilted_local_bound(theta: float) -> float:
-    """Closed-form local bound (2 + alpha)/sqrt(8 + 2 alpha^2)."""
-    alpha = tilted_alpha(theta)
-    return (2.0 + alpha) / math.sqrt(8.0 + 2.0 * alpha * alpha)
+        1 - beta_L comes from closed forms free of cancellation; t* is the
+        local-bound strategy's overlap with the target at the corner, where
+        it binds: cos^2 theta cos^2(pi/8) at (0, pi/2) for 'new' and
+        cos^2(theta - pi/8)/2 at (0, 0) for 'tilted'. The tie takes 'new''s.
+        """
+        theta = self.theta
+        if self.family == "new" or self.is_chsh:
+            # 4 (1 - beta_L) = 3 (1 - r) + 2 sin^2 theta (1 + r), with
+            # u = sin^2(2 theta) and r = sqrt((3 + u)/(3 - u)), regrouped
+            sin2, u = math.sin(theta) ** 2, math.sin(2.0 * theta) ** 2
+            r = math.sqrt((3.0 + u) / (3.0 - u))
+            n = 12.0 * sin2 - 2.0 * u * u / (3.0 + math.sqrt(9.0 - u * u))
+            gap = sin2 * n / (2.0 * (3.0 - u) * (1.0 + r))
+            return gap, math.cos(theta) ** 2 * math.cos(math.pi / 8) ** 2, (0.0, math.pi / 2)
+        # 1 - beta_L = (2 - alpha)^2 / (w (w + 2 + alpha)), w = sqrt(8 + 2 alpha^2),
+        # with alpha = 2/q and 2 - alpha = 4 tan^2(2 theta) / (q (q + 1))
+        tan2 = math.tan(2.0 * theta) ** 2
+        q = math.sqrt(1.0 + 2.0 * tan2)
+        w = math.sqrt(8.0 + 8.0 / (q * q))
+        gap = (4.0 * tan2 / (q * (q + 1.0))) ** 2 / (w * (w + 2.0 + 2.0 / q))
+        return gap, math.cos(theta - math.pi / 8) ** 2 / 2.0, (0.0, 0.0)
 
 
 def vertex_cutoff(theta: float, family: str) -> tuple[float, tuple[float, float]]:
@@ -144,41 +203,30 @@ def vertex_cutoff(theta: float, family: str) -> tuple[float, tuple[float, float]
     B holds the Bell values beta_k of the 8 deterministic strategies and T
     their overlaps t_k with the target. The local-bound strategy gives the
     largest slope s* = (1 - t*)/(1 - beta_L) (Kaniewski, PRL 117, 070402
-    (2016)), with t* = cos^2 theta cos^2(pi/8) at (0, pi/2) for 'new' and
-    cos^2(theta - pi/8)/2 at (0, 0) for 'tilted'. Where ``tilted_alpha``
-    is 0 (theta = pi/4) both tests are CHSH/(2 sqrt 2), and 'tilted' takes
-    'new''s expression and corner. 1 - beta_L comes from closed forms free
-    of cancellation, and 1 - I* = sin^2 theta / s* is never taken from 1.
-    Returns the smallest float I* < 1 whose ``slope_and_intercept`` slope
-    covers s*. Raises DomainError for theta outside ``THETA_RANGE`` or
-    another family.
+    (2016)), with 1 - beta_L, t* and the corner from ``BellKind.vertex``,
+    which follows the record's tie rule at pi/4. 1 - I* = sin^2 theta / s*
+    is never taken from 1. Returns the smallest float I* < 1 whose
+    ``slope_and_intercept`` slope covers s*. Raises DomainError for theta
+    outside ``THETA_RANGE`` or another family, and ChannelFamilyError,
+    naming both, if that float lies more than 8 ulps from the closed form.
     """
-    theta, family = check_theta(theta), _check_family(family)
-    sin2 = math.sin(theta) ** 2
-    if family == "new" or tilted_alpha(theta) == 0.0:
-        # 4 (1 - beta_L) = 3 (1 - r) + 2 sin^2 theta (1 + r), with
-        # u = sin^2(2 theta) and r = sqrt((3 + u)/(3 - u)), regrouped
-        u = math.sin(2.0 * theta) ** 2
-        r = math.sqrt((3.0 + u) / (3.0 - u))
-        n = 12.0 * sin2 - 2.0 * u * u / (3.0 + math.sqrt(9.0 - u * u))
-        gap = sin2 * n / (2.0 * (3.0 - u) * (1.0 + r))
-        t_star, corner = math.cos(theta) ** 2 * math.cos(math.pi / 8) ** 2, (0.0, math.pi / 2)
-    else:
-        # 1 - beta_L = (2 - alpha)^2 / (w (w + 2 + alpha)), w = sqrt(8 + 2 alpha^2),
-        # with alpha = 2/q and 2 - alpha = 4 tan^2(2 theta) / (q (q + 1))
-        tan2 = math.tan(2.0 * theta) ** 2
-        q = math.sqrt(1.0 + 2.0 * tan2)
-        w = math.sqrt(8.0 + 8.0 / (q * q))
-        gap = (4.0 * tan2 / (q * (q + 1.0))) ** 2 / (w * (w + 2.0 + 2.0 / q))
-        t_star, corner = math.cos(theta - math.pi / 8) ** 2 / 2.0, (0.0, 0.0)
+    kind = BellKind(family, theta)
+    theta, (gap, t_star, corner) = kind.theta, kind.vertex
     s = (1.0 - t_star) / gap
-    i_star = 1.0 - sin2 * gap / (1.0 - t_star)
-    # the float slope is nondecreasing in I*, so step to the smallest I* that covers s
-    while slope_and_intercept(theta, math.nextafter(i_star, 0.0))[0] >= s:
-        i_star = math.nextafter(i_star, 0.0)
-    while slope_and_intercept(theta, i_star)[0] < s:
-        i_star = math.nextafter(i_star, 1.0)
-    return i_star, corner
+    i_star = 1.0 - math.sin(theta) ** 2 * gap / (1.0 - t_star)
+    # the float slope is nondecreasing in I*, so step to the smallest I* that
+    # covers s; the closed form lands within 2 ulps of it on every angle
+    # tried, so a longer walk means the closed form is wrong
+    for _ in range(_MAX_ULP_STEPS + 1):
+        if slope_and_intercept(theta, i_star)[0] < s:
+            i_star = math.nextafter(i_star, 1.0)
+        elif slope_and_intercept(theta, math.nextafter(i_star, 0.0))[0] >= s:
+            i_star = math.nextafter(i_star, 0.0)
+        else:
+            return i_star, corner
+    raise ChannelFamilyError(
+        f"the closed-form cutoff for {family!r} at theta={theta!r} lies more than "
+        f"{_MAX_ULP_STEPS} ulps from the smallest I* whose slope covers s*={s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +241,7 @@ class LinearBoundCertificate:
     depth, the verification tolerance, the worst margin of the final scan,
     the binding angle pair ``worst_a``, ``worst_b`` (the corner where
     ``vertex_cutoff`` binds, so I* cannot be lowered there), and Bob's
-    channel reparametrization (from the angle, see ``quantum.AngleWarp``).
+    channel reparametrization (``BellKind.warp_variant``).
     """
 
     theta: float
@@ -211,10 +259,8 @@ class LinearBoundCertificate:
     delta_variant: str
 
     @property
-    def kind(self):
-        """The certified ``bell.BellKind``; importing it loads numpy."""
-        from .bell import BellKind
-
+    def kind(self) -> BellKind:
+        """The certified inequality family at its angle."""
         return BellKind(self.family, self.theta)
 
 

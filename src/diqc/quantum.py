@@ -24,8 +24,7 @@ import numpy as np
 from .matrixcore import as_matrix, hermiticity_defect, kron
 # the scalar layer, re-exported here
 from .pipeline import (  # noqa: F401
-    LINEAR_WARP, THETA_RANGE, DomainError, _check_range, bob_ideal_angle, check_theta,
-    warp_variant)
+    LINEAR_WARP, THETA_RANGE, BellKind, DomainError, _check_range, check_theta)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -93,9 +92,9 @@ def ideal_settings(theta: float, kind: str = "new") -> tuple[float, float]:
     """Measurement angles (a, b) at which the Bell value reaches 1.
 
     a = pi/4 turns Alice's pair into (sigma_z, sigma_x); b is the
-    kind-dependent ideal half-angle for Bob.
+    kind-dependent ideal half-angle for Bob, ``BellKind.b_ideal``.
     """
-    return float(np.pi / 4), bob_ideal_angle(theta, kind)
+    return float(np.pi / 4), BellKind(kind, theta).b_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +312,12 @@ class AngleWarp:
     The extraction weight is g(t(b)), so the warp decides where Bob's channel
     is the identity (t = pi/4) and how fast it dephases away from there. It
     maps [0, b_ideal] onto [0, pi/4] and [b_ideal, pi/2] onto [pi/4, pi/2]
-    linearly, and is the identity exactly when b_ideal = pi/4 (theta = pi/4,
-    the CHSH case), which ``variant`` records.
+    linearly, unless ``variant`` is the identity (where b_ideal is pi/4, the
+    CHSH case); ``bob_warp`` takes both from the family record.
     """
 
     b_ideal: float
-    variant: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variant", warp_variant(self.b_ideal))
+    variant: str
 
     def __call__(self, b: np.ndarray | float) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -334,26 +330,22 @@ class AngleWarp:
 
 def bob_warp(theta: float, kind: str = "new") -> AngleWarp:
     """The reparametrization of Bob's angle for a given inequality."""
-    return AngleWarp(bob_ideal_angle(theta, kind))
-
-
-def bob_dephasing_weight(b: np.ndarray | float, theta: float,
-                         kind: str = "new") -> np.ndarray | float:
-    """Mixing weight (1 + g(t(b)))/2 of Bob's extraction channel: Alice's at t(b)."""
-    return alice_dephasing_weight(bob_warp(theta, kind)(b))
+    record = BellKind(kind, theta)
+    return AngleWarp(record.b_ideal, record.warp_variant)
 
 
 def dephasing_bob(b: float, theta: float, kind: str = "new") -> DephasingChannel:
     """Bob's extraction channel at measurement half-angle b.
 
+    Mixing weight (1 + g(t(b)))/2, Alice's at the warped angle t(b).
     Identity at the ideal angle b_ideal(theta, kind); dephases toward
     sigma_x below it (observables collapsing onto sigma_x) and toward
     sigma_z above it (observables collapsing onto +-sigma_z).
     """
     b = _check_range(b, 0.0, np.pi / 2, "b")
-    b_ideal = bob_ideal_angle(theta, kind)
-    axis = SIGMA_X if b <= b_ideal else SIGMA_Z
-    return DephasingChannel(bob_dephasing_weight(b, theta, kind), axis)
+    warp = bob_warp(theta, kind)
+    axis = SIGMA_X if b <= warp.b_ideal else SIGMA_Z
+    return DephasingChannel(alice_dephasing_weight(warp(b)), axis)
 
 
 def apply_one_sided(channel: DephasingChannel, rho: np.ndarray, side: str) -> np.ndarray:

@@ -28,7 +28,7 @@ def test_criterion_01_local_bound_oracle():
     start = time.perf_counter()
     for theta in np.linspace(0.05, QUARTER_PI, 50):
         kind = BellKind.new(theta)
-        closed = bell.local_bound_new(theta)
+        closed = kind.local_bound
         strategy, brute = bell.brute_force_local_strategy(kind)
         assert abs(closed - brute) < 1e-12
         # the stated strategy A0 = A1 = B0 = 1, B1 = -1 attains the maximum

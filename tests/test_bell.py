@@ -11,13 +11,10 @@ from diqc.bell import (
     brute_force_local_strategy,
     chsh_value,
     correlators_from_state,
-    local_bound_new,
     new_bell_operator,
     new_bell_value,
     relabel_branch1,
-    tilted_alpha,
     tilted_bell_value,
-    tilted_local_bound,
     tilted_operator,
 )
 from diqc.quantum import (
@@ -93,7 +90,7 @@ def test_new_deterministic_strategy_hits_local_bound():
     for theta in (0.1, 0.3, 0.6, np.pi / 4):
         joint = np.array([[1.0, -1.0], [1.0, -1.0]])
         t = CorrelatorTable(joint, np.array([1.0, 1.0]), np.array([1.0, -1.0]))
-        assert abs(new_bell_value(t, theta) - local_bound_new(theta)) < 1e-12
+        assert abs(new_bell_value(t, theta) - BellKind.new(theta).local_bound) < 1e-12
 
 
 def test_new_theta_domain():
@@ -156,23 +153,24 @@ def test_quantum_maximum_on_grid(family):
 
 
 def test_local_bound_new_at_quarter_pi():
-    assert abs(local_bound_new(np.pi / 4) - np.sqrt(2) / 2) < 1e-12
+    assert abs(BellKind.new(np.pi / 4).local_bound - np.sqrt(2) / 2) < 1e-12
 
 
 def test_local_bound_matches_brute_force():
     for theta in np.linspace(0.05, np.pi / 4, 50):
-        closed = local_bound_new(theta)
+        closed = BellKind.new(theta).local_bound
         brute = brute_force_local_bound(BellKind.new(theta))
         assert abs(closed - brute) < 1e-12
 
 
 def test_local_bound_ordering_new_above_tilted():
     for theta in np.linspace(0.05, np.pi / 4, 25):
-        assert local_bound_new(theta) >= tilted_local_bound(theta) - 1e-12
+        assert BellKind.new(theta).local_bound >= BellKind.tilted(theta).local_bound - 1e-12
 
 
 def test_brute_force_chsh():
-    assert brute_force_local_bound(BellKind.chsh()) == 2.0
+    tables = itertools.starmap(bell._deterministic_table, itertools.product((1, -1), repeat=4))
+    assert max(map(chsh_value, tables)) == 2.0
 
 
 def test_brute_force_new_quarter_pi():
@@ -182,7 +180,7 @@ def test_brute_force_new_quarter_pi():
 def test_brute_force_tilted_matches_closed_form():
     for theta in (0.1, 0.3, 0.55, np.pi / 4):
         brute = brute_force_local_bound(BellKind.tilted(theta))
-        assert abs(brute - tilted_local_bound(theta)) < 1e-12
+        assert abs(brute - BellKind.tilted(theta).local_bound) < 1e-12
 
 
 def test_stated_strategy_is_maximizing():
@@ -198,8 +196,8 @@ def test_stated_strategy_is_maximizing():
 
 
 def test_tilted_alpha_values():
-    assert abs(tilted_alpha(np.pi / 8) - 2 / np.sqrt(3)) < 1e-12
-    assert tilted_alpha(np.pi / 4) == 0.0
+    assert abs(BellKind.tilted(np.pi / 8).alpha - 2 / np.sqrt(3)) < 1e-12
+    assert BellKind.tilted(np.pi / 4).alpha == 0.0
 
 
 def test_tilted_reduces_to_scaled_chsh_at_quarter_pi():

@@ -114,7 +114,7 @@ def test_margin_nonnegative_at_ideal(small_cert):
 
 def test_margin_negative_below_cutoff(small_cert):
     # below the certified cutoff some angle pair must reject the line
-    bad = bell.local_bound_new(0.6) + 1e-6
+    bad = bell.BellKind.new(0.6).local_bound + 1e-6
     grid = np.linspace(0, np.pi / 2, 41)
     worst = min(operator_margin(0.6, "new", bad, a, b)
                 for a in grid[::8] for b in grid[::8])
@@ -171,7 +171,7 @@ def test_overlap_bound_holds_for_random_states(small_cert):
 
 
 def test_find_cutoff_basic_properties(small_cert):
-    assert bell.local_bound_new(0.6) < small_cert.i_star < 1.0
+    assert bell.BellKind.new(0.6).local_bound < small_cert.i_star < 1.0
     assert small_cert.worst_margin >= -small_cert.tol
     assert small_cert.delta_variant == "linear"
     assert small_cert.slope * small_cert.i_star + small_cert.intercept == pytest.approx(
@@ -917,5 +917,5 @@ def test_raw_pipeline_requires_matching_angle(small_cert):
 
 
 def test_raw_pipeline_reaches_zero(small_cert):
-    fc = certify.raw_pipeline_bound(2.0, bell.local_bound_new(0.6) - 0.02, 0.6, small_cert)
+    fc = certify.raw_pipeline_bound(2.0, bell.BellKind.new(0.6).local_bound - 0.02, 0.6, small_cert)
     assert fc.bound == 0.0

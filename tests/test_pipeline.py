@@ -51,19 +51,32 @@ def np_tilted_local_bound(theta):
     return float((2.0 + alpha) / np.sqrt(8.0 + 2.0 * alpha * alpha))
 
 
+def np_bell_constants(theta, family):
+    # bell.BellTerms' table constants as it computed them with numpy
+    if family == "new" and np_tilted_alpha(theta) != 0.0:
+        bt = np_bob_ideal_angle(theta, "new")
+        sb, cb, s2, c2 = np.sin(bt), np.cos(bt), np.sin(2 * theta), np.cos(2 * theta)
+        return [1.0 / (2.0 * sb), s2 / (2.0 * cb), c2 / 4.0, c2 / (4.0 * sb)]
+    alpha = np_tilted_alpha(theta)
+    norm = np.sqrt(8.0 + 2.0 * alpha * alpha)
+    return [2.0 / norm, 2.0 / norm, alpha / norm, 0.0]
+
+
 @pytest.mark.parametrize("theta", ANGLES)
 def test_math_forms_match_numpy_bit_for_bit(theta):
-    pairs = [(pipeline.bob_ideal_angle(theta, "new"), np_bob_ideal_angle(theta, "new")),
-             (pipeline.bob_ideal_angle(theta, "tilted"), np_bob_ideal_angle(theta, "tilted")),
-             (pipeline.tilted_alpha(theta), np_tilted_alpha(theta)),
-             (pipeline.local_bound_new(theta), np_local_bound_new(theta)),
-             (pipeline.tilted_local_bound(theta), np_tilted_local_bound(theta))]
-    assert [mine.hex() for mine, _ in pairs] == [oracle.hex() for _, oracle in pairs]
+    new, tilted = pipeline.BellKind("new", theta), pipeline.BellKind("tilted", theta)
+    pairs = [(new.b_ideal, np_bob_ideal_angle(theta, "new")),
+             (tilted.b_ideal, np_bob_ideal_angle(theta, "tilted")),
+             (tilted.alpha, np_tilted_alpha(theta)),
+             (new.local_bound, np_local_bound_new(theta)),
+             (tilted.local_bound, np_tilted_local_bound(theta)),
+             *zip(new.bell_constants, np_bell_constants(theta, "new")),
+             *zip(tilted.bell_constants, np_bell_constants(theta, "tilted"))]
+    assert [mine.hex() for mine, _ in pairs] == [float(oracle).hex() for _, oracle in pairs]
 
 
 def _fig5_floor(family):
-    lb = pipeline.local_bound_new(cli.FIG5_THETA) if family == "new" else \
-        pipeline.tilted_local_bound(cli.FIG5_THETA)
+    lb = pipeline.BellKind(family, cli.FIG5_THETA).local_bound
     return lb - 0.05 * (1.0 - lb)
 
 

@@ -5,6 +5,7 @@ from conftest import ROT_X_PI
 from diqc import quantum
 from diqc.matrixcore import kron
 from diqc.quantum import (
+    BellKind,
     DomainError,
     H_OBS,
     IDENTITY_2,
@@ -14,7 +15,6 @@ from diqc.quantum import (
     alice_observable,
     apply_instrument,
     apply_one_sided,
-    bob_ideal_angle,
     bob_observable,
     dephasing_alice,
     dephasing_bob,
@@ -91,9 +91,9 @@ def test_ideal_settings():
 
 
 def test_bob_ideal_angle_tilted_limit():
-    assert abs(bob_ideal_angle(np.pi / 4, "tilted") - np.pi / 4) < 1e-12
+    assert abs(BellKind.tilted(np.pi / 4).b_ideal - np.pi / 4) < 1e-12
     # moves toward pi/2 as the state becomes less entangled
-    assert bob_ideal_angle(0.1, "tilted") > bob_ideal_angle(0.6, "tilted")
+    assert BellKind.tilted(0.1).b_ideal > BellKind.tilted(0.6).b_ideal
 
 
 # ---- instruments ----
@@ -227,7 +227,7 @@ def test_dephasing_alice_commutes_with_axis_conjugation():
 @pytest.mark.parametrize("kind", ["new", "tilted"])
 def test_dephasing_bob_identity_at_ideal_angle(kind):
     for theta in (0.1, 0.35, 0.6, np.pi / 4):
-        ch = dephasing_bob(bob_ideal_angle(theta, kind), theta, kind)
+        ch = dephasing_bob(BellKind(kind, theta).b_ideal, theta, kind)
         assert abs(ch.weight - 1.0) < 1e-9
 
 

@@ -42,13 +42,12 @@ EXPORTS = {
                    "uhlmann_fidelity"],
     "quantum": ["DegenerateInstrumentError", "DephasingChannel", "DomainError",
                 "KrausInstrument", "RegisterState", "apply_instrument", "apply_one_sided",
-                "bob_ideal_angle", "dephasing_alice", "dephasing_bob", "ideal_settings",
+                "dephasing_alice", "dephasing_bob", "ideal_settings",
                 "instrument_choi", "partial_entangled_state", "partial_trace", "phi_plus",
                 "reference_instrument"],
     "bell": ["BellKind", "CorrelatorTable", "brute_force_local_bound", "chsh_value",
-             "correlators_from_state", "local_bound_new", "new_bell_operator",
-             "new_bell_value", "relabel_branch1", "tilted_bell_value", "tilted_local_bound",
-             "tilted_operator"],
+             "correlators_from_state", "new_bell_operator", "new_bell_value",
+             "relabel_branch1", "tilted_bell_value", "tilted_operator"],
     "certify": ["BETA_STAR", "ChannelFamilyError", "FidelityCertificate",
                 "LinearBoundCertificate", "NonQuantumValueError", "certify_instrument",
                 "combine_branches", "find_cutoff", "input_fidelity_bound",
@@ -102,13 +101,23 @@ def test_solving_and_simulating_commands_still_run(tmp_path):
 
 
 def test_vertex_cutoff_loads_no_numpy():
+    # the closed-form cutoff, and every property of the family record that a
+    # certificate's ``kind`` gives, for both families
     code = ("import sys\n"
-            "from diqc.pipeline import vertex_cutoff\n"
-            "print(vertex_cutoff(0.6, 'new')[0].hex(), 'numpy' in sys.modules)")
+            "from diqc.pipeline import FAMILIES, BellKind, LinearBoundCertificate, vertex_cutoff\n"
+            "names = [n for n, v in vars(BellKind).items() if isinstance(v, property)]\n"
+            "kinds = [LinearBoundCertificate(0.6, f, *[0] * 10, 'linear').kind for f in FAMILIES]\n"
+            "facts = [vertex_cutoff(0.6, 'new')] + [getattr(k, n) for k in kinds for n in names]\n"
+            "print(repr(facts))\n"
+            "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120, check=True)
-    from diqc.pipeline import vertex_cutoff
-    assert proc.stdout.split() == [vertex_cutoff(0.6, "new")[0].hex(), "False"]
+    from diqc.pipeline import FAMILIES, BellKind, vertex_cutoff
+    names = [n for n, v in vars(BellKind).items() if isinstance(v, property)]
+    facts = [vertex_cutoff(0.6, "new")] + [getattr(BellKind(f, 0.6), n)
+                                           for f in FAMILIES for n in names]
+    assert {"b_ideal", "alpha", "local_bound", "bell_constants", "vertex"} <= set(names)
+    assert proc.stdout.splitlines() == [repr(facts), "False"]
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ def _exact_cutoff(theta, family):
     # the textbook local bounds
     with mpmath.workdps(50):
         th = mpmath.mpf(theta)
-        if family == "tilted" and pipeline.tilted_alpha(theta) != 0.0:
+        if family == "tilted" and not pipeline.BellKind(family, theta).is_chsh:
             t_star = mpmath.cos(th - mpmath.pi / 8) ** 2 / 2
             alpha = 2 / mpmath.sqrt(1 + 2 * mpmath.tan(2 * th) ** 2)
             beta_l = (2 + alpha) / mpmath.sqrt(8 + 2 * alpha ** 2)
@@ -52,6 +53,20 @@ def test_vertex_cutoff_matches_50_digit_rounding():
               for theta, family in DEFAULTS]
     assert max(errors) <= 2
     assert sum(errors) <= 22
+
+
+@pytest.mark.parametrize("shift", [-20, 20])
+@pytest.mark.parametrize("theta, family", [(0.6, "new"), (0.3, "tilted"), (math.pi / 4, "tilted")])
+def test_vertex_cutoff_bounds_its_ulp_walk(theta, family, shift, monkeypatch):
+    # a closed form 20 ulps off the covering float, modelled by shifting the
+    # slope the walk compares, stops the walk after 8 steps with an error
+    # naming the input, where an unbounded walk would return the shifted float
+    slope_and_intercept = pipeline.slope_and_intercept
+    monkeypatch.setattr(pipeline, "slope_and_intercept",
+                        lambda th, i: slope_and_intercept(th, i + shift * math.ulp(i)))
+    with pytest.raises(pipeline.ChannelFamilyError,
+                       match=re.escape(f"{family!r} at theta={theta!r}")):
+        vertex_cutoff(theta, family)
 
 
 def test_vertex_cutoff_agrees_with_the_pencil_at_the_corners():
