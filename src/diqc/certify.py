@@ -406,26 +406,23 @@ def find_cutoff(theta: float, family: str = "new",
                 refine_levels: int = DEFAULT_REFINE_LEVELS) -> LinearBoundCertificate:
     """The cutoff I* of ``pipeline.vertex_cutoff``, checked on the grid.
 
-    The closed form sets I* and the binding corner; the margin scan of
-    ``verify_cutoff`` then checks the operator inequality at I* over an
-    ``n_a x n_b`` grid (at least 101 per axis) and ``refine_levels``
-    refinement passes, on the rows with a <= pi/4 (the others mirror them,
-    see the module docstring). The certificate serves both branches and
-    records the scan's worst margin. Raises ChannelFamilyError if that
-    margin falls below -VERIFY_TOL, which indicates a broken channel
+    The closed form sets I*; the margin scan of ``verify_cutoff`` then
+    checks the operator inequality at I* over an ``n_a x n_b`` grid (at
+    least 101 per axis) and ``refine_levels`` refinement passes, on the
+    rows with a <= pi/4 (the others mirror them, see the module
+    docstring). The certificate serves both branches and records the grid,
+    the depth and the scan's worst margin. Raises ChannelFamilyError if
+    that margin falls below -VERIFY_TOL, which indicates a broken channel
     family, naming where; DomainError for an angle or family without a
     cutoff; ValueError, naming ``grid`` or ``refine_levels``, for a grid or
     depth it cannot use.
     """
     n_a, n_b = _check_grid(grid, refine_levels)
     ev = _MarginEvaluator(theta, family)
-    i_star, (bind_a, bind_b) = vertex_cutoff(ev.theta, family)
-    s, mu = slope_and_intercept(ev.theta, i_star)
+    i_star = vertex_cutoff(ev.theta, family)[0]
     return LinearBoundCertificate(
-        theta=ev.theta, family=family, i_star=i_star, slope=s, intercept=mu,
-        grid_a=n_a, grid_b=n_b, refine_levels=refine_levels, tol=VERIFY_TOL,
-        worst_margin=_scan(ev, i_star, n_a, n_b, refine_levels), worst_a=bind_a,
-        worst_b=bind_b, delta_variant=ev.warp.variant)
+        theta=ev.theta, family=family, i_star=i_star, grid_a=n_a, grid_b=n_b,
+        refine_levels=refine_levels, worst_margin=_scan(ev, i_star, n_a, n_b, refine_levels))
 
 
 def verify_cutoff(cert: LinearBoundCertificate,
@@ -439,20 +436,10 @@ def verify_cutoff(cert: LinearBoundCertificate,
     worst margin and where it lies (the next patch's centre) are a full
     scan's whenever that margin is below this, as it is for every
     ``find_cutoff`` certificate. Raises ChannelFamilyError, as
-    ``find_cutoff`` does, for a worst margin below -VERIFY_TOL; DomainError
-    for a ``delta_variant`` other than the angle's, a ``tol`` other than
-    VERIFY_TOL or an ``i_star`` outside (0, 1); ValueError as
-    ``find_cutoff`` for the grid.
+    ``find_cutoff`` does, for a worst margin below -VERIFY_TOL; ValueError
+    as ``find_cutoff`` for the grid.
     """
     n_a, n_b = _check_grid(grid if grid is not None else (cert.grid_a, cert.grid_b),
                            cert.refine_levels)
-    ev = _MarginEvaluator(cert.theta, cert.family)
-    if ev.warp.variant != cert.delta_variant:
-        raise DomainError(
-            f"certificate records delta_variant={cert.delta_variant!r}, but "
-            f"theta={cert.theta} gives {ev.warp.variant!r}")
-    if cert.tol != VERIFY_TOL:
-        raise DomainError(
-            f"certificate records tol={cert.tol!r}, but certificates are verified "
-            f"to VERIFY_TOL={VERIFY_TOL!r}")
-    return _scan(ev, _check_cutoff(cert.i_star), n_a, n_b, cert.refine_levels)
+    return _scan(_MarginEvaluator(cert.theta, cert.family), cert.i_star, n_a, n_b,
+                 cert.refine_levels)

@@ -16,12 +16,14 @@ written (the message names its path).
 
 Cutoff certificates are cached under ``--cache-dir`` (or the
 ``DIQC_CACHE_DIR`` environment variable, default ``~/.cache/diqc``), keyed
-by angle, inequality, grid, refinement depth and solver tag, so sweeps do
-not re-run the solver and a certificate written by another solver is never
-served. An entry that cannot be read or parsed, or whose fields disagree
-with its key or whose slope and intercept do not follow from its cutoff,
-is solved again and rewritten; entries are written atomically. An entry
-that cannot be written costs a warning on stderr, never the result.
+by inequality, angle and solver tag, so sweeps do not re-run the solver
+and a certificate written by another solver is never served. An entry is
+served only as a solve would return it: its angle and inequality are the
+key's, its cutoff is ``pipeline.vertex_cutoff``'s, its grid and depth are
+the defaults and each derived column follows from its stored fields. Any
+other entry, or one that cannot be read, is solved again and rewritten,
+atomically; one that cannot be written costs a warning on stderr, never
+the result.
 
 This module imports only the scalar layer, ``pipeline``, at start-up. The
 solver is imported on a cache miss and the simulator by ``simulate``, and
@@ -91,12 +93,12 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _at_least(lo: int, what: str = ""):
+def _at_least(lo: int):
     """argparse type of the integers from ``lo`` up."""
     def integer(text: str) -> int:
         n = int(text)
         if n < lo:
-            raise argparse.ArgumentTypeError(f"{what}must be at least {lo}, got {n}")
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
         return n
     return integer
 
@@ -111,25 +113,31 @@ def cutoff_to_row(cert: pipeline.LinearBoundCertificate) -> dict:
         "slope": cert.slope, "intercept": cert.intercept,
         "worst_margin": cert.worst_margin, "worst_a": cert.worst_a,
         "worst_b": cert.worst_b, "grid_a": cert.grid_a, "grid_b": cert.grid_b,
-        "refine_levels": cert.refine_levels, "tol": cert.tol,
+        "refine_levels": cert.refine_levels, "tol": pipeline.VERIFY_TOL,
         "delta_variant": cert.delta_variant,
     }
 
 
 def cutoff_from_row(row: dict) -> pipeline.LinearBoundCertificate:
-    return pipeline.LinearBoundCertificate(
+    """The certificate whose fields a row stores, if it writes back as that row.
+
+    Raises ValueError naming the first column, derived ones included, that
+    differs from the certificate's, or DomainError as the certificate does.
+    """
+    cert = pipeline.LinearBoundCertificate(
         theta=float(row["theta"]), family=str(row["inequality"]),
-        i_star=float(row["i_star"]), slope=float(row["slope"]),
-        intercept=float(row["intercept"]), grid_a=int(row["grid_a"]),
+        i_star=float(row["i_star"]), grid_a=int(row["grid_a"]),
         grid_b=int(row["grid_b"]), refine_levels=int(row["refine_levels"]),
-        tol=float(row["tol"]), worst_margin=float(row["worst_margin"]),
-        worst_a=float(row["worst_a"]), worst_b=float(row["worst_b"]),
-        delta_variant=str(row["delta_variant"]))
+        worst_margin=float(row["worst_margin"]))
+    for column, value in cutoff_to_row(cert).items():
+        if row[column] != value:
+            raise ValueError(f"{column}={row[column]!r} disagrees with the stored "
+                             f"fields, which give {value!r}")
+    return cert
 
 
-def _cache_path(cache_dir: Path, theta: float, family: str, grid: tuple[int, int],
-                refine: int) -> Path:
-    key = f"{family}|{theta:.17g}|{grid[0]}x{grid[1]}|r{refine}|{pipeline.SOLVER_TAG}"
+def _cache_path(cache_dir: Path, theta: float, family: str) -> Path:
+    key = f"{family}|{theta:.17g}|{pipeline.SOLVER_TAG}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cutoff-{family}-{digest}.json"
 
@@ -148,45 +156,32 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _matches(cert: pipeline.LinearBoundCertificate, theta: float, family: str,
-             grid: tuple[int, int], refine: int) -> bool:
-    """Whether a cached certificate is the one its key asks for.
-
-    Its angle, family, grid and refinement depth equal the request, it
-    records the solver's tolerance and the warp its angle gives, and its
-    slope and intercept follow from its cutoff exactly.
-    """
-    return (cert.theta == theta and cert.family == family
-            and (cert.grid_a, cert.grid_b) == tuple(grid)
-            and cert.refine_levels == refine and cert.tol == pipeline.VERIFY_TOL
-            and 0.0 < cert.i_star < 1.0
-            and (cert.slope, cert.intercept) == pipeline.slope_and_intercept(theta, cert.i_star)
-            and cert.delta_variant == pipeline.BellKind(family, theta).warp_variant)
-
-
-def load_or_solve_cutoff(theta: float, family: str, grid: tuple[int, int],
-                         refine: int, cache_dir: Path | None) -> pipeline.LinearBoundCertificate:
+def load_or_solve_cutoff(theta: float, family: str,
+                         cache_dir: Path | None) -> pipeline.LinearBoundCertificate:
     """Fetch a cached cutoff certificate or run the solver and cache it.
 
     A cache entry that cannot be read, is truncated, does not parse as a
-    certificate or is not the certificate its key asks for (see
-    ``_matches``) is solved again and overwritten. If the entry cannot be
+    certificate (see ``cutoff_from_row``) or is not the one a solve would
+    return is solved again and overwritten. If the entry cannot be
     written, a warning naming its path goes to stderr and the solved
     certificate is returned all the same.
     """
     path = None
     if cache_dir is not None:
-        path = _cache_path(cache_dir, theta, family, grid, refine)
+        path = _cache_path(cache_dir, theta, family)
         try:
             cert = cutoff_from_row(json.loads(path.read_text(encoding="utf-8")))
-            if _matches(cert, theta, family, grid, refine):
+            solved = (theta, family, pipeline.vertex_cutoff(theta, family)[0],
+                      *pipeline.DEFAULT_GRID, pipeline.DEFAULT_REFINE_LEVELS)
+            if (cert.theta, cert.family, cert.i_star, cert.grid_a, cert.grid_b,
+                    cert.refine_levels) == solved:
                 return cert
         except (OSError, ValueError, KeyError, TypeError):
             pass
     # the solver loads numpy, which a cache hit never needs
     from . import certify
 
-    cert = certify.find_cutoff(theta, family, grid=grid, refine_levels=refine)
+    cert = certify.find_cutoff(theta, family)
     if path is not None:
         try:
             _write_atomic(path, json.dumps(cutoff_to_row(cert)))
@@ -242,13 +237,8 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true", help="bypass the cutoff cache")
 
 
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
+def _add_inequality_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inequality", choices=pipeline.FAMILIES, default="new")
-    p.add_argument("--grid-n", type=_at_least(101, "grid "), default=201,
-                   help="angle grid points per axis (minimum 101)")
-    p.add_argument("--refine", type=_at_least(0),
-                   default=pipeline.DEFAULT_REFINE_LEVELS,
-                   help="local refinement passes (at least 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutoff", help="solve for a self-testing cutoff")
     p.add_argument("--theta", type=float, required=True, help="instrument angle in radians")
-    _add_solver_args(p)
+    _add_inequality_arg(p)
     _add_io_args(p)
 
     p = sub.add_parser("certify", help="certificate from observed violations")
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i0", type=float, required=True, help="branch-0 violation")
     p.add_argument("--i1", type=float, required=True, help="branch-1 violation")
     p.add_argument("--p0", type=float, required=True, help="branch-0 probability")
-    _add_solver_args(p)
+    _add_inequality_arg(p)
     _add_io_args(p)
 
     p = sub.add_parser("simulate", help="noisy recipe simulation, end to end")
@@ -277,20 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bob-offset", type=float, default=0.0)
     p.add_argument("--instrument-theta", type=float, default=None)
     p.add_argument("--depolarization", type=float, default=0.0)
-    _add_solver_args(p)
+    _add_inequality_arg(p)
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig4", help="cutoff versus instrument angle, both tests")
     p.add_argument("--theta-min", type=float, default=pipeline.THETA_RANGE[0])
     p.add_argument("--theta-max", type=float, default=pipeline.THETA_RANGE[1])
     p.add_argument("--points", type=_at_least(1), default=25)
-    _add_solver_args(p)
+    _add_inequality_arg(p)
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig5", help="certified fidelity surface over violations")
     p.add_argument("--theta", type=float, default=FIG5_THETA)
     p.add_argument("--points", type=_at_least(1), default=50)
-    _add_solver_args(p)
+    _add_inequality_arg(p)
     _add_io_args(p)
 
     return parser
@@ -304,8 +294,7 @@ def _cache_dir_of(args) -> Path | None:
 
 
 def _solve(args, theta: float, family: str) -> pipeline.LinearBoundCertificate:
-    return load_or_solve_cutoff(theta, family, (args.grid_n, args.grid_n),
-                                args.refine, _cache_dir_of(args))
+    return load_or_solve_cutoff(theta, family, _cache_dir_of(args))
 
 
 def cmd_cutoff(args) -> int:

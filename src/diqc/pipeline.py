@@ -237,31 +237,54 @@ def vertex_cutoff(theta: float, family: str) -> tuple[float, tuple[float, float]
 class LinearBoundCertificate:
     """Accepted linear overlap bound for one inequality and angle.
 
-    Records the full verification metadata: grid resolution, refinement
-    depth, the verification tolerance, the worst margin of the final scan,
-    the binding angle pair ``worst_a``, ``worst_b`` (the corner where
-    ``vertex_cutoff`` binds, so I* cannot be lowered there), and Bob's
-    channel reparametrization (``BellKind.warp_variant``).
+    Stores what a solve decides: the angle, family and cutoff I*, and the
+    grid, refinement depth and worst margin of its scan. ``slope`` and
+    ``intercept`` follow from (theta, I*); the binding angle pair
+    ``worst_a``, ``worst_b`` (where ``vertex_cutoff`` binds, so I* cannot
+    be lowered there) and Bob's warp ``delta_variant`` from the family
+    record. Raises DomainError for an angle or family without a cutoff, or
+    an I* outside (0, 1).
     """
 
     theta: float
     family: str
     i_star: float
-    slope: float
-    intercept: float
     grid_a: int
     grid_b: int
     refine_levels: int
-    tol: float
     worst_margin: float
-    worst_a: float
-    worst_b: float
-    delta_variant: str
+
+    def __post_init__(self) -> None:
+        BellKind(self.family, self.theta)
+        _check_cutoff(self.i_star)
 
     @property
     def kind(self) -> BellKind:
         """The certified inequality family at its angle."""
         return BellKind(self.family, self.theta)
+
+    @property
+    def slope(self) -> float:
+        return slope_and_intercept(self.theta, self.i_star)[0]
+
+    @property
+    def intercept(self) -> float:
+        return slope_and_intercept(self.theta, self.i_star)[1]
+
+    @property
+    def worst_a(self) -> float:
+        """Alice's angle at the corner where ``vertex_cutoff`` binds."""
+        return self.kind.vertex[2][0]
+
+    @property
+    def worst_b(self) -> float:
+        """Bob's angle at the corner where ``vertex_cutoff`` binds."""
+        return self.kind.vertex[2][1]
+
+    @property
+    def delta_variant(self) -> str:
+        """Bob's angle warp, ``BellKind.warp_variant``."""
+        return self.kind.warp_variant
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,7 @@ def test_criterion_07_soundness_sweep(cutoffs):
 def test_criterion_08_fig5_surface(cutoffs, tmp_path, capsys):
     cert = cutoffs.get(FIG5_THETA, "new")
     cache = tmp_path / "cache"
-    path = cli._cache_path(cache, FIG5_THETA, "new", (201, 201),
-                           certify.DEFAULT_REFINE_LEVELS)
+    path = cli._cache_path(cache, FIG5_THETA, "new")
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps(cli.cutoff_to_row(cert)))
     out_file = tmp_path / "fig5.csv"

@@ -172,7 +172,7 @@ def test_overlap_bound_holds_for_random_states(small_cert):
 
 def test_find_cutoff_basic_properties(small_cert):
     assert bell.BellKind.new(0.6).local_bound < small_cert.i_star < 1.0
-    assert small_cert.worst_margin >= -small_cert.tol
+    assert small_cert.worst_margin >= -certify.VERIFY_TOL
     assert small_cert.delta_variant == "linear"
     assert small_cert.slope * small_cert.i_star + small_cert.intercept == pytest.approx(
         np.cos(0.6) ** 2, abs=1e-12)
@@ -199,7 +199,7 @@ def test_find_cutoff_solves_smallest_angle(family):
     # 1 - I* is about 1e-7 here, below the 1e-6 a bracketed search can reach
     cert = find_cutoff(0.05, family)
     assert 0.0 < 1.0 - cert.i_star < 1e-6
-    assert cert.worst_margin >= -cert.tol
+    assert cert.worst_margin >= -certify.VERIFY_TOL
 
 
 def test_find_cutoff_resolves_small_gap():
@@ -217,7 +217,8 @@ def test_find_cutoff_reports_binding_corner():
 def test_cutoff_cannot_be_lowered(theta, family):
     cert = find_cutoff(theta, family)
     lower = cert.i_star - 1e-6 * (1.0 - cert.i_star)
-    assert operator_margin(theta, family, cert.i_star, cert.worst_a, cert.worst_b) >= -cert.tol
+    assert operator_margin(theta, family, cert.i_star, cert.worst_a, cert.worst_b) >= \
+        -certify.VERIFY_TOL
     assert operator_margin(theta, family, lower, cert.worst_a, cert.worst_b) < 0.0
 
 
@@ -710,9 +711,16 @@ def test_verify_branch1_passes(small_cert):
 
 
 def test_verify_branch1_rejects_wrong_delta_variant(small_cert):
-    relabelled = dataclasses.replace(small_cert, delta_variant="identity")
-    with pytest.raises(DomainError, match="delta_variant"):
-        verify_cutoff(relabelled, grid=(101, 101))
+    # the warp variant follows from the angle, so a certificate cannot record
+    # another one than the scan uses: linear, but the identity at pi/4
+    with pytest.raises(TypeError, match="delta_variant"):
+        dataclasses.replace(small_cert, delta_variant="identity")
+    for theta, family, variant in [(0.6, "new", "linear"), (0.3, "tilted", "linear"),
+                                   (np.pi / 4, "new", "identity"),
+                                   (np.pi / 4, "tilted", "identity")]:
+        cert = dataclasses.replace(small_cert, theta=theta, family=family)
+        assert cert.delta_variant == variant
+        assert certify._MarginEvaluator(theta, family).warp.variant == variant
 
 
 def _unscreened_scan(cert, grid):
@@ -741,9 +749,7 @@ def test_verify_branch1_scans_cleared_meshgrids_in_full(monkeypatch):
     # a conservative certificate clears whole meshgrids; scanning those in
     # full keeps the patch centres, and so the result, of the unscreened scan
     cert = find_cutoff(0.6, "new")
-    i_star = (cert.i_star + 1.0) / 2.0
-    s, mu = slope_and_intercept(0.6, i_star)
-    cert = dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu)
+    cert = dataclasses.replace(cert, i_star=(cert.i_star + 1.0) / 2.0)
     cleared = []
     screen = certify._screen
 
@@ -775,12 +781,13 @@ def test_verify_branch1_takes_few_exact_margins(n, monkeypatch):
     assert 0 < sum(built) <= 50
 
 
-@pytest.mark.parametrize("field, value", [("tol", 1e6), ("tol", float("nan")),
-                                          ("i_star", 1.0), ("i_star", float("nan")),
-                                          ("i_star", 1.5), ("i_star", 0.0)])
+@pytest.mark.parametrize("field, value", [("i_star", 1.0), ("i_star", float("nan")),
+                                          ("i_star", 1.5), ("i_star", 0.0),
+                                          ("theta", 0.01), ("family", "chsh")])
 def test_verify_branch1_rejects_untrusted_fields(small_cert, field, value):
+    # a certificate checks its stored fields when it is built
     with pytest.raises(DomainError, match=field):
-        verify_cutoff(dataclasses.replace(small_cert, **{field: value}), grid=(101, 101))
+        dataclasses.replace(small_cert, **{field: value})
 
 
 def test_verify_branch1_rejects_cutoff_far_below_true_one(small_cert):
@@ -799,8 +806,7 @@ def test_verify_cutoff_passes_default_certificates_finely(theta, family, cutoffs
 def test_verify_cutoff_rejects_a_slightly_lowered_cutoff(theta, family, cutoffs):
     cert = cutoffs.get(theta, family)
     i_star = cert.i_star - 1e-6 * (1.0 - cert.i_star)
-    s, mu = slope_and_intercept(theta, i_star)
-    lowered = dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu)
+    lowered = dataclasses.replace(cert, i_star=i_star)
     with pytest.raises(ChannelFamilyError,
                        match=rf"cutoff {i_star!r} fails verification: margin -.* at "
                              rf"\(a=.*, b=.*\) for {family} at theta={theta}"):
@@ -821,9 +827,8 @@ def test_default_certificates_take_the_vertex_cutoff(family, cutoffs):
         assert cert.worst_margin >= -certify.VERIFY_TOL
         assert verify_cutoff(cert, grid=(801, 801)) >= -certify.VERIFY_TOL
         i_star = cert.i_star - 1e-6 * (1.0 - cert.i_star)
-        s, mu = slope_and_intercept(theta, i_star)
         with pytest.raises(ChannelFamilyError, match="fails verification"):
-            verify_cutoff(dataclasses.replace(cert, i_star=i_star, slope=s, intercept=mu))
+            verify_cutoff(dataclasses.replace(cert, i_star=i_star))
 
 
 @pytest.mark.parametrize("grid, refine_levels", [((0, 0), 2), ((1, 1), 2), ((2, 2), 2),

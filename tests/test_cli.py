@@ -1,15 +1,21 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diqc import certify, cli
+from diqc import certify, cli, pipeline
 
 QUARTER_PI = "0.78539816339744828"
 ANCHOR = (8 + 7 * np.sqrt(2)) / (17 * np.sqrt(2))
+CERTIFY_06 = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.97", "--i1", "0.96",
+              "--p0", "0.5"]
 
 
 @pytest.fixture()
@@ -24,7 +30,7 @@ def run(args, capsys):
 
 
 def cutoff_args(cache_dir, extra=()):
-    return ["cutoff", "--theta", QUARTER_PI, "--grid-n", "101",
+    return ["cutoff", "--theta", QUARTER_PI,
             "--cache-dir", str(cache_dir), *extra]
 
 
@@ -64,7 +70,7 @@ def test_cutoff_uses_cache(cache_dir, capsys):
 def test_cache_dir_env_override(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("DIQC_CACHE_DIR", str(env_cache))
-    code, _, _ = run(["cutoff", "--theta", QUARTER_PI, "--grid-n", "101"], capsys)
+    code, _, _ = run(["cutoff", "--theta", QUARTER_PI], capsys)
     assert code == 0
     assert list(env_cache.glob("cutoff-*.json"))
 
@@ -75,13 +81,8 @@ def test_malformed_theta_is_usage_error(cache_dir, capsys):
     assert "usage" in err.lower() or "error" in err.lower()
 
 
-def test_small_grid_is_usage_error(capsys):
-    code, _, _ = run(["cutoff", "--theta", QUARTER_PI, "--grid-n", "51"], capsys)
-    assert code == 1
-
-
 def test_out_of_domain_theta_is_domain_error(cache_dir, capsys):
-    code, _, err = run(cutoff_args(cache_dir)[:2] + ["0.01", "--grid-n", "101"], capsys)
+    code, _, err = run(cutoff_args(cache_dir)[:2] + ["0.01"], capsys)
     assert code == 2
     assert "theta" in err
 
@@ -89,7 +90,7 @@ def test_out_of_domain_theta_is_domain_error(cache_dir, capsys):
 def test_certify_perfect_row(cache_dir, capsys):
     # reuses the cached cutoff from the same parameters
     run(cutoff_args(cache_dir), capsys)
-    code, out, _ = run(["certify", "--theta", QUARTER_PI, "--grid-n", "101",
+    code, out, _ = run(["certify", "--theta", QUARTER_PI,
                         "--beta", format(2 * np.sqrt(2), ".17g"), "--i0", "1",
                         "--i1", "1", "--p0", "0.5", "--cache-dir", str(cache_dir)], capsys)
     assert code == 0
@@ -103,7 +104,7 @@ def test_certify_perfect_row(cache_dir, capsys):
 
 def test_certify_rejects_superquantum_beta(cache_dir, capsys):
     run(cutoff_args(cache_dir), capsys)
-    code, _, err = run(["certify", "--theta", QUARTER_PI, "--grid-n", "101",
+    code, _, err = run(["certify", "--theta", QUARTER_PI,
                         "--beta", "3.0", "--i0", "1", "--i1", "1", "--p0", "0.5",
                         "--cache-dir", str(cache_dir)], capsys)
     assert code == 2
@@ -112,7 +113,7 @@ def test_certify_rejects_superquantum_beta(cache_dir, capsys):
 
 def test_certify_below_cutoff_still_emits(cache_dir, capsys):
     run(cutoff_args(cache_dir), capsys)
-    code, out, _ = run(["certify", "--theta", QUARTER_PI, "--grid-n", "101",
+    code, out, _ = run(["certify", "--theta", QUARTER_PI,
                         "--beta", "2.6", "--i0", "0.5", "--i1", "0.5", "--p0", "0.5",
                         "--cache-dir", str(cache_dir)], capsys)
     assert code == 0
@@ -122,7 +123,7 @@ def test_certify_below_cutoff_still_emits(cache_dir, capsys):
 
 
 def test_simulate_zero_noise(cache_dir, capsys):
-    code, out, _ = run(["simulate", "--theta", QUARTER_PI, "--grid-n", "101",
+    code, out, _ = run(["simulate", "--theta", QUARTER_PI,
                         "--cache-dir", str(cache_dir)], capsys)
     assert code == 0
     row = cli.parse_rows(out)[0]
@@ -132,7 +133,7 @@ def test_simulate_zero_noise(cache_dir, capsys):
 def test_simulate_rejects_tilted_inequality(cache_dir, capsys):
     code, out, err = run(["simulate", "--theta", "0.6", "--visibility", "0.95",
                           "--depolarization", "0.02", "--inequality", "tilted",
-                          "--grid-n", "101", "--cache-dir", str(cache_dir)], capsys)
+                          "--cache-dir", str(cache_dir)], capsys)
     assert code == 2
     assert out == ""
     assert "'new'" in err and "'tilted'" in err
@@ -140,7 +141,7 @@ def test_simulate_rejects_tilted_inequality(cache_dir, capsys):
 
 def test_simulate_rejects_tilted_inequality_before_solving(cache_dir, capsys):
     code, _, _ = run(["simulate", "--theta", "0.6", "--visibility", "0.95",
-                      "--inequality", "tilted", "--grid-n", "101",
+                      "--inequality", "tilted",
                       "--cache-dir", str(cache_dir)], capsys)
     assert code == 2
     assert not cache_dir.exists() or not any(cache_dir.iterdir())
@@ -148,7 +149,7 @@ def test_simulate_rejects_tilted_inequality_before_solving(cache_dir, capsys):
 
 @pytest.mark.parametrize("value", ["-3.9e-05", "-1E-3", "-.5"])
 def test_negative_value_after_a_space(value, cache_dir, capsys):
-    base = ["simulate", "--theta", "0.6", "--grid-n", "101", "--cache-dir", str(cache_dir)]
+    base = ["simulate", "--theta", "0.6", "--cache-dir", str(cache_dir)]
     spaced = run(base + ["--bob-offset", value], capsys)
     joined = run(base + [f"--bob-offset={value}"], capsys)
     assert spaced[0] == 0
@@ -157,7 +158,7 @@ def test_negative_value_after_a_space(value, cache_dir, capsys):
 
 def test_sweep_fig4_row_count_and_header(cache_dir, capsys):
     code, out, _ = run(["sweep-fig4", "--points", "2", "--theta-min", "0.6",
-                        "--grid-n", "101", "--cache-dir", str(cache_dir)], capsys)
+                        "--cache-dir", str(cache_dir)], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "theta,inequality,i_star,slope,intercept,worst_margin,grid_n,delta_variant"
@@ -169,7 +170,7 @@ def test_sweep_fig4_row_count_and_header(cache_dir, capsys):
 
 def test_sweep_fig5_shape(cache_dir, capsys):
     code, out, _ = run(["sweep-fig5", "--points", "6", "--theta", "0.6",
-                        "--grid-n", "101", "--cache-dir", str(cache_dir)], capsys)
+                        "--cache-dir", str(cache_dir)], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "theta,beta,i_theta,p0,f_in,f_out,bound"
@@ -200,8 +201,23 @@ def test_tol_flag_is_gone(cache_dir, capsys):
     assert "--tol" in err
 
 
+GRIDLESS = [["cutoff", "--theta", "0.6"], CERTIFY_06, ["simulate", "--theta", "0.6"],
+            ["sweep-fig4"], ["sweep-fig5"]]
+
+
+@pytest.mark.parametrize("command", GRIDLESS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", ["--grid-n=101", "--refine=2"])
+def test_grid_and_refine_flags_are_gone(command, flag, cache_dir, capsys):
+    # the closed form sets I*, so neither the grid nor the depth of the
+    # scan that checks it moves a certificate
+    code, out, err = run(command + [flag, "--cache-dir", str(cache_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert flag.split("=")[0] in err
+    assert not cache_dir.exists()
+
+
 @pytest.mark.parametrize("args", [
-    ["cutoff", "--theta", "0.6", "--refine", "-3"],
     ["sweep-fig4", "--points", "0"],
     ["sweep-fig5", "--points", "0"],
 ])
@@ -237,29 +253,34 @@ def test_corrupt_cache_entry_is_solved_again(cache_dir, capsys):
 
 
 def test_cache_entry_of_old_solver_is_not_read(cache_dir, capsys):
-    # key format of the bisection solver, which recorded its tolerance
+    # key format of the commands that took a grid and a depth, holding the
+    # closed-form cutoff with a worst margin no scan gives, which would show
+    # in the output if the entry were served
     theta = float(QUARTER_PI)
-    key = f"new|{theta:.17g}|101x101|r2|t{1e-9:.17g}|auto"
+    key = f"new|{theta:.17g}|201x201|r2|{pipeline.SOLVER_TAG}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     stale = cache_dir / f"cutoff-new-{digest}.json"
     cache_dir.mkdir()
-    row = cli.cutoff_to_row(certify.LinearBoundCertificate(
-        theta=theta, family="new", i_star=0.7445773, slope=1.0, intercept=0.0,
-        grid_a=101, grid_b=101, refine_levels=2, tol=1e-9, worst_margin=0.0,
-        worst_a=np.pi / 4, worst_b=np.pi / 4, delta_variant="identity"))
+    i_star = pipeline.vertex_cutoff(theta, "new")[0]
+    row = cli.cutoff_to_row(pipeline.LinearBoundCertificate(
+        theta=theta, family="new", i_star=i_star, grid_a=201, grid_b=201, refine_levels=2,
+        worst_margin=0.5))
     stale.write_text(json.dumps(row))
     code, out, _ = run(cutoff_args(cache_dir), capsys)
     assert code == 0
-    assert abs(cli.parse_rows(out)[0]["i_star"] - ANCHOR) < 1e-9
-    assert cli._cache_path(cache_dir, theta, "new", (101, 101), 2) != stale
+    solved = cli.parse_rows(out)[0]
+    assert abs(solved["i_star"] - ANCHOR) < 1e-9
+    assert solved["worst_margin"] != 0.5
+    assert cli._cache_path(cache_dir, theta, "new") != stale
+    assert json.loads(stale.read_text()) == row
 
 
 def test_cache_entry_for_another_angle_is_solved_again(cache_dir, capsys):
     # an entry for theta = 0.6 copied under the key of theta = 0.65
-    solve = ["cutoff", "--grid-n", "101", "--cache-dir", str(cache_dir)]
+    solve = ["cutoff", "--cache-dir", str(cache_dir)]
     assert run(solve + ["--theta", "0.6"], capsys)[0] == 0
     entry = _cached_file(cache_dir)
-    other = cli._cache_path(cache_dir, 0.65, "new", (101, 101), 2)
+    other = cli._cache_path(cache_dir, 0.65, "new")
     other.write_text(entry.read_text())
     code, out, _ = run(solve + ["--theta", "0.65"], capsys)
     assert code == 0
@@ -274,7 +295,7 @@ def test_cache_entry_with_edited_cutoff_is_solved_again(tmp_path, cache_dir, cap
     # i_star lowered to 0.5 while the slope and intercept stay those of the
     # solved cutoff would certify a bound far above the honest one
     args = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.97", "--i1", "0.96",
-            "--p0", "0.5", "--grid-n", "101"]
+            "--p0", "0.5"]
     code, honest, _ = run(args + ["--cache-dir", str(tmp_path / "fresh")], capsys)
     assert code == 0
     assert run(args + ["--cache-dir", str(cache_dir)], capsys)[0] == 0
@@ -285,6 +306,53 @@ def test_cache_entry_with_edited_cutoff_is_solved_again(tmp_path, cache_dir, cap
     assert code == 0
     assert out == honest
     assert json.loads(entry.read_text()) == row
+
+
+def test_cache_entry_with_consistently_lowered_cutoff_is_solved_again(tmp_path, cache_dir,
+                                                                      capsys):
+    # I* lowered to 0.9 with the slope and intercept that follow from it: a
+    # well-formed certificate, but not the closed form's, and served it would
+    # certify 0.70047762388752977 where the honest bound is 0.67110291231517438
+    args = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.93", "--i1", "0.93",
+            "--p0", "0.5"]
+    code, honest, _ = run(args + ["--cache-dir", str(tmp_path / "fresh")], capsys)
+    assert code == 0
+    assert cli.parse_rows(honest)[0]["bound"] == 0.67110291231517438
+    entry = cli._cache_path(cache_dir, 0.6, "new")
+    cache_dir.mkdir()
+    solved = certify.find_cutoff(0.6, "new")
+    lowered = cli.cutoff_to_row(dataclasses.replace(solved, i_star=0.9))
+    assert lowered["slope"] != cli.cutoff_to_row(solved)["slope"]
+    entry.write_text(json.dumps(lowered))
+    code, out, _ = run(args + ["--cache-dir", str(cache_dir)], capsys)
+    assert code == 0
+    assert out == honest
+    assert cli.cutoff_from_row(json.loads(entry.read_text())) == solved
+    assert solved.i_star == pipeline.vertex_cutoff(0.6, "new")[0]
+
+
+certificates = st.builds(
+    pipeline.LinearBoundCertificate, theta=st.floats(*pipeline.THETA_RANGE),
+    family=st.sampled_from(pipeline.FAMILIES),
+    i_star=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    grid_a=st.integers(101, 1001), grid_b=st.integers(101, 1001),
+    refine_levels=st.integers(0, 5), worst_margin=st.floats(-1e-9, 1.0))
+
+
+@settings(max_examples=50)
+@given(cert=certificates)
+def test_cutoff_row_round_trips_to_the_bit(cert):
+    row = json.loads(json.dumps(cli.cutoff_to_row(cert)))
+    assert cli.cutoff_from_row(row) == cert
+    assert [x.hex() for x in (cert.theta, cert.i_star, cert.worst_margin)] == \
+        [row[k].hex() for k in ("theta", "i_star", "worst_margin")]
+    edits = {column: math.nextafter(row[column], math.inf)
+             for column in ("slope", "intercept", "worst_a", "worst_b")}
+    edits["tol"] = 2 * pipeline.VERIFY_TOL
+    edits["delta_variant"] = ({"identity", "linear"} - {row["delta_variant"]}).pop()
+    for column, value in edits.items():
+        with pytest.raises(ValueError, match=f"^{column}="):
+            cli.cutoff_from_row({**row, column: value})
 
 
 def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
@@ -311,10 +379,6 @@ def test_cache_write_is_atomic(cache_dir, capsys, monkeypatch):
     assert [p.name for p in cache_dir.iterdir()] == [_cached_file(cache_dir).name]
 
 
-CERTIFY_06 = ["certify", "--theta", "0.6", "--beta", "2.7", "--i0", "0.97", "--i1", "0.96",
-              "--p0", "0.5", "--grid-n", "101"]
-
-
 @pytest.mark.parametrize("flag", ["beta", "i0", "i1", "p0"])
 def test_certify_error_names_a_nan_input(flag, cache_dir, capsys):
     args = list(CERTIFY_06)
@@ -329,7 +393,7 @@ def test_certify_error_names_a_nan_input(flag, cache_dir, capsys):
                                         ("bob-offset", "bob_angle_offset"),
                                         ("instrument-theta", "instrument_theta")])
 def test_simulate_error_names_a_nan_angle(flag, name, cache_dir, capsys):
-    code, out, err = run(["simulate", "--theta", "0.6", "--grid-n", "101", f"--{flag}=nan",
+    code, out, err = run(["simulate", "--theta", "0.6", f"--{flag}=nan",
                           "--cache-dir", str(cache_dir)], capsys)
     assert code == 2
     assert out == ""
@@ -340,7 +404,7 @@ def test_simulate_error_names_a_nan_angle(flag, name, cache_dir, capsys):
                                                ("bob-offset", "-2", "bob_angle_offset"),
                                                ("instrument-theta", "2", "instrument_theta")])
 def test_simulate_error_names_an_angle_out_of_range(flag, value, name, cache_dir, capsys):
-    code, out, err = run(["simulate", "--theta", "0.6", "--grid-n", "101",
+    code, out, err = run(["simulate", "--theta", "0.6",
                           f"--{flag}={value}", "--cache-dir", str(cache_dir)], capsys)
     assert code == 2
     assert out == ""
@@ -362,7 +426,7 @@ def test_cache_dir_that_is_a_file_costs_a_warning_only(tmp_path, capsys, monkeyp
 
 def test_unreadable_cache_entry_is_a_miss(cache_dir, capsys):
     # a directory where the entry belongs can be neither read nor replaced
-    entry = cli._cache_path(cache_dir, 0.6, "new", (101, 101), 2)
+    entry = cli._cache_path(cache_dir, 0.6, "new")
     entry.mkdir(parents=True)
     code, honest, _ = run(CERTIFY_06 + ["--no-cache"], capsys)
     code, out, err = run(CERTIFY_06 + ["--cache-dir", str(cache_dir)], capsys)

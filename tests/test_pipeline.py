@@ -15,12 +15,9 @@ ANGLES = sorted({*map(float, np.linspace(0.05, np.pi / 4, 25)),
 @pytest.fixture(scope="module")
 def cert():
     # a cutoff record at theta = 0.6; the pipeline reads only theta and i_star
-    theta, i_star = 0.6, 0.85
-    s, mu = pipeline.slope_and_intercept(theta, i_star)
     return pipeline.LinearBoundCertificate(
-        theta=theta, family="new", i_star=i_star, slope=s, intercept=mu, grid_a=101,
-        grid_b=101, refine_levels=2, tol=pipeline.VERIFY_TOL, worst_margin=0.0,
-        worst_a=0.0, worst_b=0.0, delta_variant="linear")
+        theta=0.6, family="new", i_star=0.85, grid_a=101, grid_b=101, refine_levels=2,
+        worst_margin=0.0)
 
 
 # the numpy expressions the math forms replaced, kept as oracles

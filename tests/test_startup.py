@@ -90,10 +90,9 @@ def test_cached_commands_load_no_numpy(tmp_path):
 
 def test_solving_and_simulating_commands_still_run(tmp_path):
     cache = ["--cache-dir", str(tmp_path)]
-    commands = [["cutoff", "--theta", "0.65", "--grid-n", "101", *cache],
-                ["sweep-fig4", "--points", "2", "--grid-n", "101", "--no-cache"],
-                ["simulate", "--theta", "0.65", "--grid-n", "101", "--visibility", "0.97",
-                 *cache]]
+    commands = [["cutoff", "--theta", "0.65", *cache],
+                ["sweep-fig4", "--points", "2", "--no-cache"],
+                ["simulate", "--theta", "0.65", "--visibility", "0.97", *cache]]
     report = probe(commands)
     assert [code for code, _, _ in report["runs"]] == [0] * len(commands)
     assert [numpy for _, _, numpy in report["runs"]] == [True] * len(commands)
@@ -101,22 +100,32 @@ def test_solving_and_simulating_commands_still_run(tmp_path):
 
 
 def test_vertex_cutoff_loads_no_numpy():
-    # the closed-form cutoff, and every property of the family record that a
-    # certificate's ``kind`` gives, for both families
+    # the closed-form cutoff, every property of the family record that a
+    # certificate's ``kind`` gives and every property the certificate derives,
+    # for both families
     code = ("import sys\n"
             "from diqc.pipeline import FAMILIES, BellKind, LinearBoundCertificate, vertex_cutoff\n"
-            "names = [n for n, v in vars(BellKind).items() if isinstance(v, property)]\n"
-            "kinds = [LinearBoundCertificate(0.6, f, *[0] * 10, 'linear').kind for f in FAMILIES]\n"
-            "facts = [vertex_cutoff(0.6, 'new')] + [getattr(k, n) for k in kinds for n in names]\n"
+            "def names(cls):\n"
+            "    return [n for n, v in vars(cls).items() if isinstance(v, property)]\n"
+            "certs = [LinearBoundCertificate(0.6, f, 0.9, 201, 201, 2, 0.0) for f in FAMILIES]\n"
+            "facts = [vertex_cutoff(0.6, 'new')] + [getattr(c.kind, n) for c in certs\n"
+            "                                       for n in names(BellKind)]\n"
+            "facts += [getattr(c, n) for c in certs for n in names(LinearBoundCertificate)\n"
+            "          if n != 'kind']\n"
             "print(repr(facts))\n"
             "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120, check=True)
-    from diqc.pipeline import FAMILIES, BellKind, vertex_cutoff
+    from diqc.pipeline import FAMILIES, BellKind, LinearBoundCertificate, vertex_cutoff
     names = [n for n, v in vars(BellKind).items() if isinstance(v, property)]
+    derived = ["slope", "intercept", "worst_a", "worst_b", "delta_variant"]
     facts = [vertex_cutoff(0.6, "new")] + [getattr(BellKind(f, 0.6), n)
                                            for f in FAMILIES for n in names]
+    facts += [getattr(LinearBoundCertificate(0.6, f, 0.9, 201, 201, 2, 0.0), n)
+              for f in FAMILIES for n in derived]
     assert {"b_ideal", "alpha", "local_bound", "bell_constants", "vertex"} <= set(names)
+    assert derived == [n for n, v in vars(LinearBoundCertificate).items()
+                       if isinstance(v, property) and n != "kind"]
     assert proc.stdout.splitlines() == [repr(facts), "False"]
 
 
