@@ -4,7 +4,7 @@ The package turns Bell-test statistics into a lower bound on the fidelity
 between an unknown measurement-and-output device and a target instrument
 that interpolates between a projective measurement and the identity:
 
-* ``matrixcore``: dense complex linear algebra (fidelities, spectra).
+* ``matrixcore``: PSD square roots and fidelities of states.
 * ``quantum``: states, observables, instruments, extraction channels.
 * ``bell``: the Bell expressions, their operators and local bounds.
 * ``pipeline``: the scalar layer, with angle checks, the family record
@@ -21,7 +21,7 @@ each is the object of the same name in its module.
 import importlib
 
 _EXPORTS = {
-    "matrixcore": "EigenResult block_fidelity hermitian_eig kron psd_sqrt uhlmann_fidelity",
+    "matrixcore": "block_fidelity psd_sqrt uhlmann_fidelity",
     "pipeline": "BETA_STAR BellKind ChannelFamilyError DomainError FidelityCertificate "
                 "LinearBoundCertificate NonQuantumValueError certify_instrument "
                 "combine_branches input_fidelity_bound instrument_fidelity_bound "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import as_matrix, kron
+from .matrixcore import as_matrix
 # the family record, re-exported here
 from .pipeline import BellKind
 from .quantum import IDENTITY_2, SIGMA_X, SIGMA_Z, alice_observable, bob_observable
@@ -63,9 +63,9 @@ def correlators_from_state(rho: np.ndarray, a: float, b: float) -> CorrelatorTab
     bb = [bob_observable(j, b) for j in (0, 1)]
     joint = np.empty((2, 2))
     for k, j in itertools.product(range(2), range(2)):
-        joint[k, j] = np.trace(rho @ kron(aa[k], bb[j])).real
-    ma = np.array([np.trace(rho @ kron(aa[k], IDENTITY_2)).real for k in (0, 1)])
-    mb = np.array([np.trace(rho @ kron(IDENTITY_2, bb[j])).real for j in (0, 1)])
+        joint[k, j] = np.trace(rho @ np.kron(aa[k], bb[j])).real
+    ma = np.array([np.trace(rho @ np.kron(aa[k], IDENTITY_2)).real for k in (0, 1)])
+    mb = np.array([np.trace(rho @ np.kron(IDENTITY_2, bb[j])).real for j in (0, 1)])
     return CorrelatorTable(joint, ma, mb)
 
 
@@ -123,9 +123,9 @@ def new_bell_operator(theta: float, a: float, b: float) -> np.ndarray:
     sb, cb, s2, c2 = _new_coeffs(theta)
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
-    op = (kron(a0, b0 - b1) / sb
-          + (s2 / cb) * kron(a1, b0 + b1)
-          + c2 * (kron(a0, IDENTITY_2) + kron(IDENTITY_2, b0 - b1) / (2 * sb)))
+    op = (np.kron(a0, b0 - b1) / sb
+          + (s2 / cb) * np.kron(a1, b0 + b1)
+          + c2 * (np.kron(a0, IDENTITY_2) + np.kron(IDENTITY_2, b0 - b1) / (2 * sb)))
     return op / 4.0
 
 
@@ -134,9 +134,9 @@ def tilted_operator(theta: float, a: float, b: float) -> np.ndarray:
     alpha = BellKind.tilted(theta).alpha
     a0, a1 = alice_observable(0, a), alice_observable(1, a)
     b0, b1 = bob_observable(0, b), bob_observable(1, b)
-    op = (alpha * kron(a0, IDENTITY_2)
-          + kron(a0, b0 - b1)
-          + kron(a1, b0 + b1))
+    op = (alpha * np.kron(a0, IDENTITY_2)
+          + np.kron(a0, b0 - b1)
+          + np.kron(a1, b0 + b1))
     return op / np.sqrt(8.0 + 2.0 * alpha * alpha)
 
 

@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=pipeline.THETA_RANGE[0])
     p.add_argument("--theta-max", type=float, default=pipeline.THETA_RANGE[1])
     p.add_argument("--points", type=_at_least(1), default=25)
-    _add_inequality_arg(p)
     _add_io_args(p)
 
     p = sub.add_parser("sweep-fig5", help="certified fidelity surface over violations")

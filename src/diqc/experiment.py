@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bell, certify, quantum
 from .bell import CorrelatorTable
-from .matrixcore import block_fidelity, kron
+from .matrixcore import block_fidelity
 from .pipeline import _ANGLE_SLACK, _check_range
 from .quantum import DomainError, IDENTITY_2, SIGMA_X, SIGMA_Z
 
@@ -145,7 +145,7 @@ def simulate_run(noise: NoiseModel, theta: float) -> RunStatistics:
 
     theta_prime = theta if noise.instrument_theta is None else noise.instrument_theta
     instr = noisy_instrument(theta_prime, noise.branch_depolarization)
-    register = quantum.apply_instrument(instr, rho, side="bob")
+    register = quantum.apply_instrument(instr, rho)
     t0 = bell.correlators_from_state(register.state(0), a1, b2)
     t1 = bell.correlators_from_state(register.state(1), a1, b2)
     i0 = bell.new_bell_value(t0, theta)
@@ -187,7 +187,7 @@ def oracle_choi_fidelity(noise: NoiseModel, theta: float) -> float:
     """
     theta_prime = theta if noise.instrument_theta is None else noise.instrument_theta
     instr = noisy_instrument(theta_prime, noise.branch_depolarization)
-    actual = quantum.apply_instrument(instr, noisy_source(noise.visibility), side="bob")
+    actual = quantum.apply_instrument(instr, noisy_source(noise.visibility))
     target = quantum.instrument_choi(quantum.reference_instrument(theta))
     return block_fidelity(actual, target)
 
@@ -233,13 +233,13 @@ def cheating_run(theta: float) -> RunStatistics:
 
     # step one: alice measures her qubit, bob's outputs are +-1 functions of
     # the label alone; maximize CHSH over the 16 readout assignments
-    aa = [kron(kron(quantum.alice_observable(k, np.pi / 4), IDENTITY_2), IDENTITY_2)
+    aa = [np.kron(np.kron(quantum.alice_observable(k, np.pi / 4), IDENTITY_2), IDENTITY_2)
           for k in (0, 1)]
     best = -np.inf
     for signs in np.ndindex(2, 2, 2, 2):
         g = 1.0 - 2.0 * np.array(signs, dtype=float)
         readout = [np.diag([g[2 * j], g[2 * j + 1]]).astype(complex) for j in (0, 1)]
-        bb = [kron(np.eye(4, dtype=complex), r) for r in readout]
+        bb = [np.kron(np.eye(4, dtype=complex), r) for r in readout]
         joint = np.array([[np.trace(rho @ aa[k] @ bb[j]).real for j in (0, 1)]
                           for k in (0, 1)])
         best = max(best, joint[0, 0] + joint[0, 1] + joint[1, 0] - joint[1, 1])

@@ -1,13 +1,14 @@
-"""Dense complex linear algebra for the small Hilbert spaces used here.
+"""PSD square roots and fidelities of the small states used here.
 
-All operations act on plain complex numpy arrays of dimension 2, 4 or 8 and
+All operations act on plain complex numpy arrays of dimension at most 8 and
 are deterministic for identical inputs, so every certificate produced
-downstream is reproducible run to run.
+downstream is reproducible run to run. Products and spectra are numpy's own
+``np.kron`` and ``np.linalg``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,13 +19,6 @@ MAX_DIM = 8
 HERMITIAN_ATOL = 1e-9
 TRACE_ATOL = 1e-6
 NOT_PSD_FLOOR = -1e-6
-
-
-class EigenResult(NamedTuple):
-    """Spectrum of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -43,38 +37,20 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the coarse index."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"kron result dimension {a.shape[0] * b.shape[0]} exceeds the supported maximum {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> EigenResult:
-    """Full spectrum of a Hermitian matrix.
-
-    Raises ValueError if the input is not Hermitian within ``atol``.
-    """
-    m = as_matrix(m)
-    defect = hermiticity_defect(m)
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {atol:.0e}")
-    vals, vecs = np.linalg.eigh(m)
-    return EigenResult(vals, vecs)
-
-
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S @ S == m.
 
     Eigenvalues in [-1e-6, 0) are treated as roundoff and clamped to zero;
     anything more negative is rejected because certification must not
-    silently repair invalid states.
+    silently repair invalid states. So is a matrix that is not Hermitian
+    within ``HERMITIAN_ATOL``.
     """
-    vals, vecs = hermitian_eig(m)
+    m = as_matrix(m)
+    defect = hermiticity_defect(m)
+    if defect > HERMITIAN_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITIAN_ATOL:.0e}")
+    vals, vecs = np.linalg.eigh(m)
     if vals[0] < NOT_PSD_FLOOR:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {vals[0]:.3e}")
     root = np.sqrt(np.clip(vals, 0.0, None))

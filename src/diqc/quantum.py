@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixcore import as_matrix, hermiticity_defect, kron
+from .matrixcore import as_matrix, hermiticity_defect
 # the scalar layer, re-exported here
 from .pipeline import (  # noqa: F401
     LINEAR_WARP, THETA_RANGE, BellKind, DomainError, _check_range, check_theta)
@@ -202,25 +202,25 @@ def reference_instrument(theta: float) -> KrausInstrument:
     return KrausInstrument(((k0,), (k1,)))
 
 
-def _side_operator(op: np.ndarray, side: str) -> np.ndarray:
-    if side == "alice":
-        return kron(op, IDENTITY_2)
-    if side == "bob":
-        return kron(IDENTITY_2, op)
-    raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
-
-
-def apply_instrument(instr: KrausInstrument, rho: np.ndarray, side: str = "bob") -> RegisterState:
-    """Apply a single-qubit instrument to one side of a two-qubit state."""
+def _kraus_sum(ops: tuple[np.ndarray, ...], rho: np.ndarray, side: str) -> np.ndarray:
+    """Sum of K rho K^dag over single-qubit Kraus operators K lifted to ``side``."""
     rho = as_matrix(rho, "rho")
     if rho.shape != (4, 4):
         raise ValueError("rho must be a two-qubit (4x4) state")
+    if side not in ("alice", "bob"):
+        raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
+    out = np.zeros((4, 4), dtype=complex)
+    for op in ops:
+        lifted = np.kron(op, IDENTITY_2) if side == "alice" else np.kron(IDENTITY_2, op)
+        out += lifted @ rho @ lifted.conj().T
+    return out
+
+
+def apply_instrument(instr: KrausInstrument, rho: np.ndarray) -> RegisterState:
+    """Apply a single-qubit instrument to Bob's qubit of a two-qubit state."""
     blocks = []
     for label, ops in enumerate(instr.branches):
-        out = np.zeros((4, 4), dtype=complex)
-        for op in ops:
-            lifted = _side_operator(op, side)
-            out += lifted @ rho @ lifted.conj().T
+        out = _kraus_sum(ops, rho, "bob")
         prob = np.trace(out).real
         if prob > 1e-12:
             blocks.append((label, prob, out / prob))
@@ -232,8 +232,8 @@ def apply_instrument(instr: KrausInstrument, rho: np.ndarray, side: str = "bob")
 
 
 def instrument_choi(instr: KrausInstrument) -> RegisterState:
-    """Register-resolved Choi state of an instrument acting on Bob's side."""
-    return apply_instrument(instr, projector(phi_plus()), side="bob")
+    """Register-resolved Choi state of an instrument acting on Bob's qubit."""
+    return apply_instrument(instr, projector(phi_plus()))
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +350,7 @@ def dephasing_bob(b: float, theta: float, kind: str = "new") -> DephasingChannel
 
 def apply_one_sided(channel: DephasingChannel, rho: np.ndarray, side: str) -> np.ndarray:
     """Apply a single-qubit channel to one side of a two-qubit state."""
-    rho = as_matrix(rho, "rho")
-    if rho.shape != (4, 4):
-        raise ValueError("rho must be a two-qubit (4x4) state")
-    out = np.zeros_like(rho)
-    for op in channel.kraus():
-        lifted = _side_operator(op, side)
-        out += lifted @ rho @ lifted.conj().T
-    return out
+    return _kraus_sum(channel.kraus(), rho, side)
 
 
 def partial_trace(rho: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:

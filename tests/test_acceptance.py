@@ -185,7 +185,7 @@ def test_criterion_10_property_bundle():
         assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() > -1e-9
 
     # block fidelity equals the dense-embedding Uhlmann fidelity
-    from diqc.matrixcore import block_fidelity, hermitian_eig, uhlmann_fidelity
+    from diqc.matrixcore import block_fidelity, psd_sqrt, uhlmann_fidelity
     for _ in range(10):
         regs = []
         for _ in range(2):
@@ -211,15 +211,14 @@ def test_criterion_10_property_bundle():
         op_val = np.trace(bell.new_bell_operator(theta, a, b) @ rho).real
         assert abs(op_val - bell.new_bell_value(t, theta)) < 1e-10
 
-    # eigendecomposition reconstructs its input
+    # the PSD square root squares back to its input
     for dim in (2, 4, 8):
         for _ in range(10):
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = g + g.conj().T
-            vals, vecs = hermitian_eig(m)
-            recon = (vecs * vals) @ vecs.conj().T
-            assert np.max(np.abs(m - recon)) < 1e-10 * max(1.0, np.max(np.abs(m)))
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-10
+            m = g @ g.conj().T
+            s = psd_sqrt(m)
+            assert np.max(np.abs(s @ s - m)) < 1e-10 * max(1.0, np.max(np.abs(m)))
+            assert np.array_equal(s, s.conj().T)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -168,6 +168,16 @@ def test_sweep_fig4_row_count_and_header(cache_dir, capsys):
     assert by_kind["new"]["i_star"] <= by_kind["tilted"]["i_star"]
 
 
+def test_sweep_fig4_has_no_inequality_option(cache_dir, capsys):
+    # the sweep always covers both families, so a family flag would be ignored
+    code, out, err = run(["sweep-fig4", "--points", "2", "--inequality", "tilted",
+                          "--cache-dir", str(cache_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--inequality" in err
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
 def test_sweep_fig5_shape(cache_dir, capsys):
     code, out, _ = run(["sweep-fig5", "--points", "6", "--theta", "0.6",
                         "--cache-dir", str(cache_dir)], capsys)

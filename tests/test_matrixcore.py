@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from diqc import matrixcore
-from diqc.matrixcore import block_fidelity, hermitian_eig, kron, psd_sqrt, uhlmann_fidelity
+from diqc.matrixcore import block_fidelity, psd_sqrt, uhlmann_fidelity
 from diqc.quantum import RegisterState, partial_trace
 
 I2 = np.eye(2)
 I4 = np.eye(4)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -22,53 +21,16 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def random_hermitian(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return g + g.conj().T
-
-
-# ---- kron ----
-
-
-def test_kron_identity():
-    assert np.allclose(kron(I2, I2), I4)
-
-
-def test_kron_sigma_z_pair():
-    assert np.allclose(kron(SZ, SZ), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_double_bit_flip():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    assert np.allclose(kron(SX, SX) @ ket00, ket11)
-
-
-def test_kron_dimension_overflow():
-    with pytest.raises(ValueError, match="exceeds"):
-        kron(I4, I4)
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
-# ---- hermitian_eig ----
+# ---- the spectrum behind psd_sqrt ----
 
 
 def test_eig_identity():
-    vals, _ = hermitian_eig(I4)
-    assert np.allclose(vals, 1.0)
+    assert np.allclose(psd_sqrt(I4 / 4.0), I4 / 2.0)
 
 
 def test_eig_sigma_z():
-    vals, _ = hermitian_eig(SZ)
-    assert np.allclose(vals, [-1.0, 1.0])
+    with pytest.raises(ValueError, match=r"smallest eigenvalue -1\.000e\+00"):
+        psd_sqrt(SZ)
 
 
 def test_eig_ideal_bell_operator_top_eigenvalue():
@@ -76,36 +38,33 @@ def test_eig_ideal_bell_operator_top_eigenvalue():
     from diqc.quantum import ideal_settings
 
     a, b = ideal_settings(np.pi / 4)
-    vals, _ = hermitian_eig(new_bell_operator(np.pi / 4, a, b))
+    vals = np.linalg.eigvalsh(new_bell_operator(np.pi / 4, a, b))
     assert abs(vals[-1] - 1.0) < 1e-10
 
 
 def test_eig_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eig(m)
+        psd_sqrt(m)
 
 
 def test_eig_trace_sum_and_reconstruction():
     rng = np.random.default_rng(5)
     for dim in (2, 4, 8):
         for _ in range(10):
-            m = random_hermitian(rng, dim)
-            vals, vecs = hermitian_eig(m)
-            assert abs(vals.sum() - np.trace(m).real) < 1e-10 * max(1, abs(np.trace(m)))
-            recon = (vecs * vals) @ vecs.conj().T
-            assert np.max(np.abs(m - recon)) < 1e-10 * max(1.0, np.max(np.abs(m)))
-            gram = vecs.conj().T @ vecs
-            assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = g @ g.conj().T
+            s = psd_sqrt(m)
+            root_sum = np.sum(np.sqrt(np.linalg.eigvalsh(m)))
+            assert abs(np.trace(s).real - root_sum) < 1e-10 * root_sum
+            assert np.max(np.abs(s @ s - m)) < 1e-10 * np.max(np.abs(m))
+            assert np.array_equal(s, s.conj().T)
 
 
 def test_eig_deterministic():
     rng = np.random.default_rng(17)
-    m = random_hermitian(rng, 4)
-    first = hermitian_eig(m)
-    second = hermitian_eig(m.copy())
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    m = random_density(rng, 4)
+    assert np.array_equal(psd_sqrt(m), psd_sqrt(m.copy()))
 
 
 # ---- psd_sqrt ----

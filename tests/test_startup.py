@@ -38,8 +38,7 @@ print(json.dumps({"loaded": loaded, "runs": runs}))
 # every name the package exported when it imported its modules eagerly, by
 # the module that defined it then
 EXPORTS = {
-    "matrixcore": ["EigenResult", "block_fidelity", "hermitian_eig", "kron", "psd_sqrt",
-                   "uhlmann_fidelity"],
+    "matrixcore": ["block_fidelity", "psd_sqrt", "uhlmann_fidelity"],
     "quantum": ["DegenerateInstrumentError", "DephasingChannel", "DomainError",
                 "KrausInstrument", "RegisterState", "apply_instrument", "apply_one_sided",
                 "dephasing_alice", "dephasing_bob", "ideal_settings",
